@@ -31,9 +31,8 @@ from radform.multipoly import symmetrize
 from radform.obstruction import run_ruffini
 from radform.permchar import Perm, character_of
 from radform.resolvent import abel_polynomialize, derive_witnesses
-from radform.tower import witness_check
+from radform.tower import AttestationError, witness_check
 
-DEFAULT_SEED = 0
 DEFAULT_MAX_DEGREE = 24
 
 
@@ -42,7 +41,6 @@ class CliConfig:
     command: str
     inputs: list = field(default_factory=list)
     output: str | None = None
-    seed: int = DEFAULT_SEED
     max_degree: int = DEFAULT_MAX_DEGREE
     verbose: bool = False
 
@@ -166,7 +164,7 @@ def cmd_abelize(config: CliConfig) -> int:
         witnesses, notes = derive_witnesses(document)
         report = abel_polynomialize(document, witnesses)
         converted = to_poly_formula(report.final, report.witnesses)
-    except ValueError as err:
+    except (ValueError, AttestationError) as err:
         return _fail(str(err), 1)
     out = [serialize(converted).rstrip("\n"), ""]
     out.extend(f"# {note}" for note in notes)
@@ -186,8 +184,6 @@ def cmd_builtin(config: CliConfig, name: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for randomized sampling (default 0)")
     common.add_argument("--output", help="write the report here instead of stdout")
     common.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
                         help="safety cap for expression expansion")
@@ -234,7 +230,6 @@ def main(argv=None) -> int:
         command=args.command,
         inputs=[getattr(args, "input")] if hasattr(args, "input") else [],
         output=args.output,
-        seed=args.seed,
         max_degree=args.max_degree,
         verbose=args.verbose,
     )

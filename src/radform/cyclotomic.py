@@ -17,6 +17,8 @@ import functools
 import math
 from fractions import Fraction
 
+from radform import upoly
+
 __all__ = [
     "CycScalar",
     "OrderMismatchError",
@@ -34,69 +36,6 @@ class OrderMismatchError(ValueError):
     """A requested root order does not divide the ambient order."""
 
 
-# ---------------------------------------------------------------------------
-# dense univariate polynomials over Q, coefficients listed low degree first
-
-
-def _trim(cs):
-    n = len(cs)
-    while n and not cs[n - 1]:
-        n -= 1
-    return tuple(cs[:n])
-
-
-def _padd(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [_F0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1]
-        if not c:
-            continue
-        q = c / lead
-        quo[i] = q
-        for j, cb in enumerate(b):
-            rem[i + j] -= q * cb
-    return _trim(quo), _trim(rem)
-
-
-def _pext_gcd(a, b):
-    """Return (g, s, t) with s*a + t*b = g."""
-    r0, r1 = _trim(a), _trim(b)
-    s0, s1 = (_F1,), ()
-    t0, t1 = (), (_F1,)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pmul(tuple(-c for c in q), s1))
-        t0, t1 = t1, _padd(t0, _pmul(tuple(-c for c in q), t1))
-    return r0, s0, t0
-
-
 @functools.cache
 def cyclotomic_poly(order: int) -> tuple[Fraction, ...]:
     """Coefficients of the cyclotomic polynomial Phi_order, low degree first.
@@ -109,14 +48,14 @@ def cyclotomic_poly(order: int) -> tuple[Fraction, ...]:
     num = [_F0] * (order + 1)
     num[0] = Fraction(-1)
     num[order] = _F1
-    den = (_F1,)
+    den = [_F1]
     for d in range(1, order):
         if order % d == 0:
-            den = _pmul(den, cyclotomic_poly(d))
-    quo, rem = _pdivmod(_trim(num), den)
+            den = upoly.mul(den, cyclotomic_poly(d), _F0)
+    quo, rem = upoly.divmod(num, den, None, _F0)
     if rem:
         raise AssertionError(f"cyclotomic division left a remainder for order {order}")
-    return quo
+    return tuple(quo)
 
 
 def euler_phi(order: int) -> int:
@@ -124,8 +63,7 @@ def euler_phi(order: int) -> int:
 
 
 def _reduce(cs, order):
-    _, rem = _pdivmod(_trim(cs), cyclotomic_poly(order))
-    return rem
+    return upoly.divmod(cs, cyclotomic_poly(order), None, _F0)[1]
 
 
 def _as_scalar(x, order=1):
@@ -236,15 +174,18 @@ class CycScalar:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return CycScalar(a.order, _pmul(_trim(a.coeffs), _trim(b.coeffs)))
+        return CycScalar(
+            a.order, upoly.mul(upoly.trim(a.coeffs), upoly.trim(b.coeffs), _F0)
+        )
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(w_N)")
-        rep = _trim(self.coeffs)
-        g, s, _ = _pext_gcd(rep, cyclotomic_poly(self.order))
+        g, s = upoly.ext_gcd(
+            self.coeffs, cyclotomic_poly(self.order), _F1, _F0, lambda c: 1 / c
+        )
         if len(g) != 1:
             raise AssertionError("cyclotomic polynomial split unexpectedly")
         c = g[0]

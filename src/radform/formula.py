@@ -35,7 +35,9 @@ from radform.tower import (
     TowerElem,
     TowerSpec,
     WitnessReport,
+    _is_prime,
     compatible,
+    leading_term_text,
 )
 
 __all__ = [
@@ -367,17 +369,6 @@ def _parse_tower(n, s, body):
     return FormalRadicalFormula(spec, target)
 
 
-def _is_prime(k):
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -424,14 +415,6 @@ def level_substitution(formula, j):
     images = {i: elem_sym(n, i) for i in range(1, n + 1)}
     images.update({n + t: formula.witnesses[t - 1] for t in range(1, j + 1)})
     return substitute(formula.ps[j], images, out_nvars=n)
-
-
-def leading_term_text(diff: MPoly) -> str:
-    exps, coeff = diff.leading_term()
-    mono = "*".join(
-        f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(exps) if e
-    ) or "1"
-    return f"difference has leading term {coeff}*{mono}"
 
 
 def verify_poly_formula(formula: PolyRadicalFormula) -> WitnessReport:

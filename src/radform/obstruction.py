@@ -18,12 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from radform.formula import (
-    PolyRadicalFormula,
-    factor_radicals,
-    leading_term_text,
-    level_substitution,
-)
+from radform.formula import PolyRadicalFormula, factor_radicals, level_substitution
 from radform.multipoly import MPoly, is_even_symmetric, permute_vars
 from radform.permchar import (
     Character,
@@ -31,7 +26,7 @@ from radform.permchar import (
     build_character,
     verify_hom_trivial,
 )
-from radform.tower import IdentityRecord
+from radform.tower import IdentityRecord, _is_prime, leading_term_text
 
 __all__ = [
     "ContradictionRecord",
@@ -41,17 +36,6 @@ __all__ = [
     "keeping_symmetry",
     "run_ruffini",
 ]
-
-
-def _is_prime(k):
-    if k < 2:
-        return False
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass

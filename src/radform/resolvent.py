@@ -36,6 +36,7 @@ from radform.multipoly import (
     permute_vars,
     symmetrize,
 )
+from radform.permchar import _ext_gcd_int
 from radform.tower import (
     ATTESTED_UNKNOWN,
     AttestationError,
@@ -60,21 +61,9 @@ __all__ = [
 ]
 
 
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
 def _bezout_min_b(k: int, l: int):
     """a, b with a*k + b*l = 1 and |b| minimal (positive b on a tie)."""
-    g, _, t = _ext_gcd(k, l)
+    g, _, t = _ext_gcd_int(k, l)
     if g != 1:
         raise ValueError(f"{k} and {l} are not coprime")
     b = t % k

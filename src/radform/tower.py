@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from radform import upoly
 from radform.cyclotomic import CycScalar, root_of_unity
 from radform.multipoly import (
     MPoly,
@@ -504,10 +505,11 @@ class TowerElem:
                 )
             coeffs = [TowerElem(spec, 0, RatFunc(c, g[0])) for c in nums]
         else:
-            modulus = [-spec.ps[level - 1]] + [spec.zero(below)] * (k - 1) + [
-                spec.one(below)
-            ]
-            g, s_coeffs, _ = _upoly_ext_gcd(list(self.payload), modulus, spec, below)
+            one, zero = spec.one(below), spec.zero(below)
+            modulus = [-spec.ps[level - 1]] + [zero] * (k - 1) + [one]
+            g, s_coeffs = upoly.ext_gcd(
+                self.payload, modulus, one, zero, TowerElem.inverse
+            )
             if len(g) != 1:
                 raise AttestationError(
                     f"defining polynomial at level {level} is reducible; the "
@@ -556,64 +558,7 @@ def _scalar_like(x):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial scaffolding over a tower level
-
-
-def _upoly_trim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _upoly_divmod(a, b, spec, level):
-    a = _upoly_trim(list(a))
-    b = _upoly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    # a monic divisor needs no field inverse, so reductions against
-    # t^k - rho never touch the attestation machinery
-    monic = b[-1] == spec.one(level)
-    lead_inv = None if monic else b[-1].inverse()
-    quo = [spec.zero(level)] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + len(b) - 1]
-        if c.is_zero():
-            continue
-        q = c if monic else c * lead_inv
-        quo[i] = q
-        for j, cb in enumerate(b):
-            rem[i + j] = rem[i + j] - q * cb
-    return _upoly_trim(quo), _upoly_trim(rem)
-
-
-def _upoly_ext_gcd(a, b, spec, level):
-    """(g, s, t) with s*a + t*b = g over the field at `level`."""
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [spec.zero(level)] * (len(p) + len(q) - 1)
-        for i, cp in enumerate(p):
-            for j, cq in enumerate(q):
-                out[i + j] = out[i + j] + cp * cq
-        return _upoly_trim(out)
-
-    def sub(p, q):
-        out = list(p) + [spec.zero(level)] * max(0, len(q) - len(p))
-        for j, cq in enumerate(q):
-            out[j] = out[j] - cq
-        return _upoly_trim(out)
-
-    r0, r1 = _upoly_trim(list(a)), _upoly_trim(list(b))
-    s0, s1 = [spec.one(level)], []
-    t0, t1 = [], [spec.one(level)]
-    while r1:
-        quo, rem = _upoly_divmod(r0, r1, spec, level)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(s0, mul(quo, s1))
-        t0, t1 = t1, sub(t0, mul(quo, t1))
-    return r0, s0, t0
+# level-1 Euclid
 
 
 def _rat_content(polys):
@@ -628,34 +573,6 @@ def _rat_content(polys):
     return Fraction(num, den) if num else Fraction(1)
 
 
-def _pseudo_divmod(a, b):
-    """(lam, quo, rem) over MPoly coefficients with lam*a = quo*b + rem.
-
-    Instead of inverting b's leading coefficient, every elimination step
-    scales the running remainder by it, so no fractions appear; lam
-    records the accumulated scaling.
-    """
-    db = len(b) - 1
-    lead = b[-1]
-    nv = lead.nvars
-    lam = MPoly.constant(nv, 1)
-    quo = [MPoly.zero(nv)] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + db]
-        if c.is_zero():
-            continue
-        lam = lam * lead
-        quo = [lead * q for q in quo]
-        quo[i] = quo[i] + c
-        rem = [lead * r for r in rem]
-        for j, cb in enumerate(b):
-            rem[i + j] = rem[i + j] - c * cb
-    while rem and rem[-1].is_zero():
-        rem.pop()
-    return lam, quo, rem
-
-
 def _level1_bezout(payload, k, rho):
     """Euclid data for a level-1 coefficient vector against y^k - rho.
 
@@ -667,17 +584,7 @@ def _level1_bezout(payload, k, rho):
     """
     fracs = [c.payload for c in payload]
     nv = rho.nvars
-    one = MPoly.constant(nv, 1)
-
-    def mul(p, q):
-        if not p or not q:
-            return []
-        out = [MPoly.zero(nv)] * (len(p) + len(q) - 1)
-        for i, cp in enumerate(p):
-            for j, cq in enumerate(q):
-                out[i + j] = out[i + j] + cp * cq
-        return out
-
+    one, zero = MPoly.constant(nv, 1), MPoly.zero(nv)
     dens = [f.den for f in fracs]
     a = []
     for i, f in enumerate(fracs):
@@ -686,26 +593,18 @@ def _level1_bezout(payload, k, rho):
             if j != i and d != one:
                 num = num * d
         a.append(num)
-    while a and a[-1].is_zero():
-        a.pop()
     shared = one
     for d in dens:
         if d != one:
             shared = shared * d
-    modulus = [-rho.num] + [MPoly.zero(nv)] * (k - 1) + [rho.den]
+    modulus = [-rho.num] + [zero] * (k - 1) + [rho.den]
 
-    r0, s0 = a, [one]
+    r0, s0 = upoly.trim(a), [one]
     r1, s1 = modulus, []
     while r1:
-        lam, quo, rem = _pseudo_divmod(r0, r1)
+        lam, quo, rem = upoly.pseudo_divmod(r0, r1, one, zero)
         if rem:
-            s_rem = [lam * e for e in s0] + [MPoly.zero(nv)] * max(
-                0, len(quo) + len(s1) - 1 - len(s0)
-            )
-            for j, e in enumerate(mul(quo, s1)):
-                s_rem[j] = s_rem[j] - e
-            while s_rem and s_rem[-1].is_zero():
-                s_rem.pop()
+            s_rem = upoly.sub([lam * e for e in s0], upoly.mul(quo, s1, zero))
             content = _rat_content(rem + s_rem)
             if content != 1:
                 rem = [e * (1 / content) for e in rem]
@@ -868,7 +767,9 @@ def check_annihilation(spec: TowerSpec, level: int, q_coeffs) -> AnnihilationRep
     rho = spec.ps[below]
     coeffs = [spec.lift(spec._coerce_elem(c), below) for c in q_coeffs]
     modulus = [-rho] + [spec.zero(below)] * (k - 1) + [spec.one(below)]
-    quo, rem = _upoly_divmod(coeffs, modulus, spec, below)
+    # the modulus is monic, so the reduction needs no inverse and hence no
+    # nonpower attestation
+    quo, rem = upoly.divmod(coeffs, modulus, None, spec.zero(below))
     rem = list(rem) + [spec.zero(below)] * (k - len(rem))
     report = AnnihilationReport(level=level, k=k, remainder=rem[:k], quotient=quo)
     if report.annihilates:
@@ -947,15 +848,10 @@ class WitnessReport:
         return "\n".join(self.lines())
 
 
-def _difference_detail(lhs: MPoly, rhs: MPoly) -> str:
-    diff = lhs - rhs
-    if diff.is_zero():
-        return ""
+def leading_term_text(diff: MPoly) -> str:
     exps, coeff = diff.leading_term()
     mono = "*".join(
-        f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-        for i, e in enumerate(exps)
-        if e
+        f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}" for i, e in enumerate(exps) if e
     ) or "1"
     return f"difference has leading term {coeff}*{mono}"
 
@@ -980,8 +876,8 @@ def witness_check(
             IdentityRecord(
                 name=f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
                 ok=ok,
-                detail="" if ok else _difference_detail(
-                    lhs.num * rhs.den, rhs.num * lhs.den
+                detail="" if ok else leading_term_text(
+                    lhs.num * rhs.den - rhs.num * lhs.den
                 ),
             )
         )
@@ -993,8 +889,8 @@ def witness_check(
             IdentityRecord(
                 name="x_1 = target(sigma, witnesses)",
                 ok=ok,
-                detail="" if ok else _difference_detail(
-                    x1.num * expanded.den, expanded.num * x1.den
+                detail="" if ok else leading_term_text(
+                    x1.num * expanded.den - expanded.num * x1.den
                 ),
             )
         )

@@ -1,0 +1,111 @@
+"""Dense univariate polynomials over an exact coefficient ring.
+
+A polynomial is a list of coefficients, lowest degree first.  The
+coefficients may be any ring elements supporting + - * and truth-testing
+(false exactly for zero): Fractions, cyclotomic scalars, MPoly, tower
+elements.  Functions that must create fresh coefficients take the ring's
+zero (and one) explicitly.
+
+The order of the ring operations is part of the contract: some callers
+keep unreduced num/den representations that are rendered, so a zero
+coefficient is skipped only where the product is dropped (mul), never
+where a subtraction would rescale a denominator (sub, divmod).
+"""
+
+from __future__ import annotations
+
+__all__ = ["divmod", "ext_gcd", "mul", "pseudo_divmod", "sub", "trim"]
+
+
+def trim(p) -> list:
+    """p without its trailing zero coefficients."""
+    n = len(p)
+    while n and not p[n - 1]:
+        n -= 1
+    return list(p[:n])
+
+
+def sub(p, q) -> list:
+    out = list(p)
+    for j, c in enumerate(q):
+        if j < len(out):
+            out[j] = out[j] - c
+        else:
+            out.append(-c)
+    return trim(out)
+
+
+def mul(p, q, zero) -> list:
+    if not p or not q:
+        return []
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, cp in enumerate(p):
+        if not cp:
+            continue
+        for j, cq in enumerate(q):
+            if cq:
+                out[i + j] = out[i + j] + cp * cq
+    return trim(out)
+
+
+def divmod(a, b, lead_inv, zero):
+    """(quo, rem) with a = quo*b + rem over a field.
+
+    lead_inv is the inverse of b's leading coefficient, or None when b is
+    monic, so reducing modulo a monic polynomial never inverts anything.
+    """
+    a, b = trim(a), trim(b)
+    if not b:
+        raise ZeroDivisionError("univariate division by zero")
+    quo = [zero] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + len(b) - 1]
+        if not c:
+            continue
+        q = c if lead_inv is None else c * lead_inv
+        quo[i] = q
+        for j, cb in enumerate(b):
+            rem[i + j] = rem[i + j] - q * cb
+    return trim(quo), trim(rem)
+
+
+def pseudo_divmod(a, b, one, zero):
+    """(lam, quo, rem) with lam*a = quo*b + rem over an integral domain.
+
+    Instead of inverting b's leading coefficient, every elimination step
+    scales the running remainder by it, so no fractions appear; lam
+    records the accumulated scaling.
+    """
+    db = len(b) - 1
+    lead = b[-1]
+    lam = one
+    quo = [zero] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = rem[i + db]
+        if not c:
+            continue
+        lam = lam * lead
+        quo = [lead * q for q in quo]
+        quo[i] = quo[i] + c
+        rem = [lead * r for r in rem]
+        for j, cb in enumerate(b):
+            rem[i + j] = rem[i + j] - c * cb
+    return lam, quo, trim(rem)
+
+
+def ext_gcd(a, b, one, zero, inverse):
+    """(g, s) with s*a = g modulo b, g the last nonzero remainder of Euclid.
+
+    inverse(c) returns the field inverse of a nonzero coefficient; it is
+    not called for a divisor whose leading coefficient equals one.
+    """
+    r0, r1 = trim(a), trim(b)
+    s0, s1 = [one], []
+    while r1:
+        lead = r1[-1]
+        quo, rem = divmod(r0, r1, None if lead == one else inverse(lead), zero)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub(s0, mul(quo, s1, zero))
+    return r0, s0

@@ -5,13 +5,14 @@ verification or precondition, 2 on unreadable or unparseable input, and
 byte-identical reports for identical invocations.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-from radform.cli import CliConfig, DEFAULT_MAX_DEGREE, DEFAULT_SEED, main
+from radform.cli import CliConfig, DEFAULT_MAX_DEGREE, main
 from radform.formula import parse
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -169,19 +170,37 @@ class TestAbelize:
         assert code == 2
         assert "towerformula" in err
 
+    @pytest.mark.parametrize("name", ["degree2.tower", "degree3.tower"])
+    def test_missing_attestation_is_one_line(self, capsys, tmp_path, name):
+        text = (FIXTURES / name).read_text()
+        unattested = "".join(
+            line for line in text.splitlines(keepends=True)
+            if not line.startswith("assert-nonpower")
+        )
+        assert unattested != text
+        path = tmp_path / name
+        path.write_text(unattested)
+        code, out, err = run(capsys, "abelize", path)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "nonpower attestation" in err
+
 
 class TestConfig:
     def test_defaults(self):
         config = CliConfig(command="verify")
-        assert config.seed == DEFAULT_SEED == 0
         assert config.max_degree == DEFAULT_MAX_DEGREE
         assert config.output is None
 
     def test_console_script_round_trip(self):
+        # the child must import the same checkout as this process
+        src = str(FIXTURES.parent / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
         result = subprocess.run(
             [sys.executable, "-m", "radform.cli", "verify",
              str(FIXTURES / "degree2.poly")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout

@@ -117,6 +117,14 @@ def test_commutator_closure_structure():
     five = commutator_closure(an_generators(5))
     assert len(five) == 60
     assert five == close_group(an_generators(5))
+    # [S_n, S_n] = A_n; the dihedral group of the square has [D4, D4] = <r^2>
+    s4 = [Perm.from_cycles("(1 2)", 4), Perm.from_cycles("(1 2 3 4)", 4)]
+    assert commutator_closure(s4) == close_group(an_generators(4))
+    s5 = [Perm.from_cycles("(1 2)", 5), Perm.from_cycles("(1 2 3 4 5)", 5)]
+    assert len(commutator_closure(s5)) == 60
+    d4 = [Perm.from_cycles("(1 2 3 4)", 4), Perm.from_cycles("(1 3)", 4)]
+    assert commutator_closure(d4) == {Perm.identity(4), cyc(4, 1, 3) * cyc(4, 2, 4)}
+    assert len(commutator_closure(an_generators(7))) == 2520
 
 
 def test_closure_cap():
