@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 
 from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
-from radform.multipoly import MPoly, divide_exact, elem_sym, substitute, symmetrize
+from radform.multipoly import MPoly, elem_sym, substitute, symmetrize
 from radform.cyclotomic import root_of_unity
 from radform.tower import (
     ATTESTED_ASSERTED,
@@ -417,6 +417,21 @@ def level_substitution(formula, j):
     return substitute(formula.ps[j], images, out_nvars=n)
 
 
+def chain_identity(formula, j):
+    """(radicand, record) for identity j: witness_j^(k_j) = ps[j-1] with
+    sigmas and earlier witnesses substituted in, the radicand being that
+    substituted ps[j-1]."""
+    k = formula.ks[j - 1]
+    radicand = level_substitution(formula, j - 1)
+    diff = radicand - formula.witnesses[j - 1] ** k
+    record = IdentityRecord(
+        name=f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
+        ok=diff.is_zero(),
+        detail="" if diff.is_zero() else leading_term_text(diff),
+    )
+    return radicand, record
+
+
 def verify_poly_formula(formula: PolyRadicalFormula) -> WitnessReport:
     """Check every defining identity of the formula exactly.
 
@@ -425,18 +440,7 @@ def verify_poly_formula(formula: PolyRadicalFormula) -> WitnessReport:
     ps[s] under the same substitution.  Each identity is reported with a
     PASS/FAIL line; failures carry the leading term of the difference.
     """
-    records = []
-    for j in range(1, formula.s + 1):
-        lhs = formula.witnesses[j - 1] ** formula.ks[j - 1]
-        rhs = level_substitution(formula, j - 1)
-        diff = rhs - lhs
-        records.append(
-            IdentityRecord(
-                name=f"witness_{j}^{formula.ks[j - 1]} = p_{j - 1}(sigma, witnesses)",
-                ok=diff.is_zero(),
-                detail="" if diff.is_zero() else leading_term_text(diff),
-            )
-        )
+    records = [chain_identity(formula, j)[1] for j in range(1, formula.s + 1)]
     x1 = MPoly.variable(formula.n, 1)
     diff = level_substitution(formula, formula.s) - x1
     records.append(
@@ -603,16 +607,12 @@ def factor_radicals(obj):
 
 def _flatten_elem(e: TowerElem, n: int, arity: int) -> MPoly:
     if e.level == 0:
-        rf = e.ratfunc
-        if rf.den.is_constant():
-            poly = rf.num / rf.den.constant_value()
-        else:
-            poly = divide_exact(rf.num, rf.den)
-            if poly is None:
-                raise ValueError(
-                    "tower coefficient is a genuine rational function; "
-                    "it has no polynomial form: " + rf.render()
-                )
+        poly = e.ratfunc.as_poly()
+        if poly is None:
+            raise ValueError(
+                "tower coefficient is a genuine rational function; "
+                "it has no polynomial form: " + e.ratfunc.render()
+            )
         return poly.pad_vars(arity)
     gen = MPoly.variable(arity, n + e.level)
     out = MPoly.zero(arity)
@@ -636,13 +636,10 @@ def to_poly_formula(formula: FormalRadicalFormula, witnesses) -> PolyRadicalForm
     wits = []
     for j, w in enumerate(witnesses, start=1):
         if isinstance(w, RatFunc):
-            if w.den.is_constant():
-                w = w.num / w.den.constant_value()
-            else:
-                poly = divide_exact(w.num, w.den)
-                if poly is None:
-                    raise ValueError(f"witness {j} is not a polynomial: {w.render()}")
-                w = poly
+            poly = w.as_poly()
+            if poly is None:
+                raise ValueError(f"witness {j} is not a polynomial: {w.render()}")
+            w = poly
         wits.append(w)
     return PolyRadicalFormula(n, s, list(formula.ks), ps, wits)
 

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from radform.formula import PolyRadicalFormula, factor_radicals, level_substitution
+from radform.formula import (
+    PolyRadicalFormula,
+    chain_identity,
+    factor_radicals,
+    level_substitution,
+)
 from radform.multipoly import MPoly, is_even_symmetric, permute_vars
 from radform.permchar import (
     Character,
@@ -245,13 +250,7 @@ def run_ruffini(candidate: PolyRadicalFormula) -> ObstructionReport:
     for j in range(1, s + 1):
         k = formula.ks[j - 1]
         witness = formula.witnesses[j - 1]
-        radicand = level_substitution(formula, j - 1)
-        diff = radicand - witness ** k
-        identity = IdentityRecord(
-            name=f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
-            ok=diff.is_zero(),
-            detail="" if diff.is_zero() else leading_term_text(diff),
-        )
+        radicand, identity = chain_identity(formula, j)
         entry = LevelEntry(level=j, exponent=k, identity=identity)
         if not identity.ok:
             entry.verdict = f"chain identity fails at level {j}"

@@ -28,9 +28,7 @@ from radform.cyclotomic import CycScalar, root_of_unity
 from radform.formula import FormalRadicalFormula
 from radform.multipoly import (
     MPoly,
-    NO_ROOT,
     UNDECIDED,
-    divide_exact,
     is_symmetric,
     kth_root_poly,
     permute_vars,
@@ -81,10 +79,9 @@ def _retag(e: TowerElem, spec: TowerSpec) -> TowerElem:
 
 
 def _as_witness(rf: RatFunc):
-    """Collapse a constant denominator; keep genuine fractions as they are."""
-    if rf.den.is_constant():
-        return rf.num / rf.den.constant_value()
-    return rf
+    """Collapse a denominator that divides exactly; keep genuine fractions."""
+    poly = rf.as_poly()
+    return rf if poly is None else poly
 
 
 @dataclass

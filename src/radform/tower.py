@@ -14,12 +14,12 @@ Whether each quotient is really a field depends on p_(j-1) not being a
 k_j-th power one level down.  That fact is tracked per level as a
 three-valued attestation (verified / asserted / unknown); division refuses
 to run on unknown levels, and a falsely attested level is detected when
-the extended Euclid behind an inverse meets a nontrivial common factor.
+an inverse meets an element whose norm (the product of its conjugates)
+is zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +29,7 @@ from radform.multipoly import (
     MPoly,
     NO_ROOT,
     UNDECIDED,
+    divide_exact,
     elem_sym,
     kth_root_poly,
     substitute,
@@ -190,6 +191,12 @@ class RatFunc:
         if other is None:
             return NotImplemented
         return self.num * other.den == other.num * self.den
+
+    def as_poly(self) -> MPoly | None:
+        """num/den as a polynomial when den divides num exactly, else None."""
+        if self.den.is_constant():
+            return self.num / self.den.constant_value()
+        return divide_exact(self.num, self.den)
 
     def render(self, names=None) -> str:
         num = self.num.render(names)
@@ -475,50 +482,38 @@ class TowerElem:
         return a._same_payload(b)
 
     def inverse(self) -> "TowerElem":
-        """Multiplicative inverse via extended Euclid against y^k - rho.
+        """Multiplicative inverse as the conjugate product over the norm.
 
-        Levels above 0 require a nonpower attestation; meeting a
-        nontrivial gcd on an attested level refutes the attestation and
-        raises instead of returning garbage.
+        With sigma: y -> w_k*y, a^-1 = prod_(m=1..k-1) sigma^m(a) / N(a),
+        where N(a) = prod_(m=0..k-1) sigma^m(a) is fixed by sigma and so
+        lives one level down.  Levels above 0 require a nonpower
+        attestation; N(a) = 0 means a is a zero divisor modulo y^k - rho,
+        which refutes the attestation and raises instead of returning
+        garbage.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower")
         if self.level == 0:
             return TowerElem(self.spec, 0, self.payload.inv())
-        level = self.level
-        att = self.spec.attestations[level - 1]
+        spec, level = self.spec, self.level
+        att = spec.attestations[level - 1]
         if att == ATTESTED_UNKNOWN:
             raise AttestationError(
                 f"level {level} has no nonpower attestation; cannot divide"
             )
-        spec = self.spec
-        below = level - 1
-        k = spec.ks[level - 1]
-        if below == 0:
-            # same Euclid chain, but run denominator-free so the raw
-            # num/den representation cannot snowball
-            g, nums = _level1_bezout(self.payload, k, spec.ps[0].payload)
-            if len(g) != 1:
-                raise AttestationError(
-                    f"defining polynomial at level {level} is reducible; the "
-                    f"nonpower attestation ({att}) is refuted"
-                )
-            coeffs = [TowerElem(spec, 0, RatFunc(c, g[0])) for c in nums]
-        else:
-            one, zero = spec.one(below), spec.zero(below)
-            modulus = [-spec.ps[level - 1]] + [zero] * (k - 1) + [one]
-            g, s_coeffs = upoly.ext_gcd(
-                self.payload, modulus, one, zero, TowerElem.inverse
+        # a lifted lower-level element needs no k-fold norm
+        if all(c.is_zero() for c in self.payload[1:]):
+            return spec.lift(self.payload[0].inverse(), level)
+        others = conjugate(self, level, 1)
+        for m in range(2, spec.ks[level - 1]):
+            others = others * conjugate(self, level, m)
+        norm = (self * others).coords[0]
+        if norm.is_zero():
+            raise AttestationError(
+                f"defining polynomial at level {level} is reducible; the "
+                f"nonpower attestation ({att}) is refuted"
             )
-            if len(g) != 1:
-                raise AttestationError(
-                    f"defining polynomial at level {level} is reducible; the "
-                    f"nonpower attestation ({att}) is refuted"
-                )
-            g0_inv = g[0].inverse()
-            coeffs = [c * g0_inv for c in s_coeffs]
-        coeffs += [spec.zero(below)] * (k - len(coeffs))
-        result = TowerElem(spec, level, tuple(coeffs[:k]))
+        result = others * norm.inverse()
         if not (self * result == spec.one(level)):
             raise AssertionError("inverse failed its own check")
         return result
@@ -552,71 +547,7 @@ class TowerElem:
 
 
 def _scalar_like(x):
-    from fractions import Fraction
-
     return isinstance(x, (int, Fraction, CycScalar, MPoly, RatFunc))
-
-
-# ---------------------------------------------------------------------------
-# level-1 Euclid
-
-
-def _rat_content(polys):
-    """Positive rational c with every coefficient of every poly in c*Z."""
-    num, den = 0, 1
-    for p in polys:
-        for coeff in p.terms.values():
-            for part in coeff.coeffs:
-                if part:
-                    num = math.gcd(num, part.numerator)
-                    den = den * part.denominator // math.gcd(den, part.denominator)
-    return Fraction(num, den) if num else Fraction(1)
-
-
-def _level1_bezout(payload, k, rho):
-    """Euclid data for a level-1 coefficient vector against y^k - rho.
-
-    Returns (g, nums) with g the last nonzero remainder (a list of MPoly)
-    and nums scaled so that, when len(g) == 1, coordinate i of the
-    inverse is nums[i]/g[0].  Working with cleared denominators keeps
-    every intermediate a polynomial of modest degree, where the generic
-    fraction-field chain squares its num/den sizes at each step.
-    """
-    fracs = [c.payload for c in payload]
-    nv = rho.nvars
-    one, zero = MPoly.constant(nv, 1), MPoly.zero(nv)
-    dens = [f.den for f in fracs]
-    a = []
-    for i, f in enumerate(fracs):
-        num = f.num
-        for j, d in enumerate(dens):
-            if j != i and d != one:
-                num = num * d
-        a.append(num)
-    shared = one
-    for d in dens:
-        if d != one:
-            shared = shared * d
-    modulus = [-rho.num] + [zero] * (k - 1) + [rho.den]
-
-    r0, s0 = upoly.trim(a), [one]
-    r1, s1 = modulus, []
-    while r1:
-        lam, quo, rem = upoly.pseudo_divmod(r0, r1, one, zero)
-        if rem:
-            s_rem = upoly.sub([lam * e for e in s0], upoly.mul(quo, s1, zero))
-            content = _rat_content(rem + s_rem)
-            if content != 1:
-                rem = [e * (1 / content) for e in rem]
-                s_rem = [e * (1 / content) for e in s_rem]
-        else:
-            # the cofactor of a zero remainder is never read again
-            s_rem = []
-        r0, s0 = r1, s1
-        r1, s1 = rem, s_rem
-    if shared != one:
-        s0 = [e * shared for e in s0]
-    return r0, s0
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A polynomial is a list of coefficients, lowest degree first.  The
 coefficients may be any ring elements supporting + - * and truth-testing
-(false exactly for zero): Fractions, cyclotomic scalars, MPoly, tower
-elements.  Functions that must create fresh coefficients take the ring's
+(false exactly for zero).  Two callers use it: the cyclotomic scalars,
+over Fractions, for reduction and for inverses by extended Euclid; and the
+tower's annihilation check, over tower elements, for division by a monic
+modulus.  Functions that must create fresh coefficients take the ring's
 zero (and one) explicitly.
 
 The order of the ring operations is part of the contract: some callers
@@ -14,7 +16,7 @@ where a subtraction would rescale a denominator (sub, divmod).
 
 from __future__ import annotations
 
-__all__ = ["divmod", "ext_gcd", "mul", "pseudo_divmod", "sub", "trim"]
+__all__ = ["divmod", "ext_gcd", "mul", "sub", "trim"]
 
 
 def trim(p) -> list:
@@ -68,31 +70,6 @@ def divmod(a, b, lead_inv, zero):
         for j, cb in enumerate(b):
             rem[i + j] = rem[i + j] - q * cb
     return trim(quo), trim(rem)
-
-
-def pseudo_divmod(a, b, one, zero):
-    """(lam, quo, rem) with lam*a = quo*b + rem over an integral domain.
-
-    Instead of inverting b's leading coefficient, every elimination step
-    scales the running remainder by it, so no fractions appear; lam
-    records the accumulated scaling.
-    """
-    db = len(b) - 1
-    lead = b[-1]
-    lam = one
-    quo = [zero] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    for i in range(len(a) - len(b), -1, -1):
-        c = rem[i + db]
-        if not c:
-            continue
-        lam = lam * lead
-        quo = [lead * q for q in quo]
-        quo[i] = quo[i] + c
-        rem = [lead * r for r in rem]
-        for j, cb in enumerate(b):
-            rem[i + j] = rem[i + j] - c * cb
-    return lam, quo, trim(rem)
 
 
 def ext_gcd(a, b, one, zero, inverse):

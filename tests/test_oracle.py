@@ -13,7 +13,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from radform import upoly
 from radform.cyclotomic import cyclotomic_poly
+from radform.multipoly import MPoly
 from radform.permchar import Perm, commutator_closure
+from radform.tower import ATTESTED_VERIFIED, TowerSpec, nonpower_check
 
 T = sympy.Symbol("t")
 
@@ -70,3 +72,55 @@ def test_commutator_closure_matches_sympy():
         ours = commutator_closure([Perm([i + 1 for i in g]) for g in gens])
         group = PermutationGroup([Permutation(g) for g in gens])
         assert len(ours) == group.derived_subgroup().order(), (trial, gens)
+
+
+def _ring_elem(ring, poly):
+    terms = {}
+    for exps, coeff in poly.terms.items():
+        assert coeff.is_rational()
+        frac = coeff.as_fraction()
+        terms[exps] = sympy.Rational(frac.numerator, frac.denominator)
+    return ring.from_dict(terms)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_level_one_inverse_matches_sympy(k):
+    s1, s2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
+    spec = TowerSpec(2)
+    spec.add_level(k, spec.from_sigma_poly(s1 ** 2 - 4 * s2))
+    assert nonpower_check(spec, 1).status == "verified"
+    spec.set_attestation(1, ATTESTED_VERIFIED)
+    domain = sympy.QQ.frac_field(*sympy.symbols("s1 s2"))
+    ring = domain.field.ring
+    rho = _ring_elem(ring, s1 ** 2 - 4 * s2)
+    modulus = sympy.Poly.from_list(
+        [domain.one] + [domain.zero] * (k - 1) + [-domain.field(rho)], T, domain=domain
+    )
+    rng = random.Random(31 + k)
+    basis = [MPoly.constant(2, 1), s1, s2]
+    # sympy's Euclid over QQ(s1, s2) dominates the run time, so k = 5 gets
+    # one sparse element and k = 3 fewer dense ones
+    trials, width = {2: (6, 2), 3: (3, 3), 5: (1, 2)}[k]
+    y = spec.generator(1)
+    for trial in range(trials):
+        coords = [
+            sum((rng.randint(-2, 2) * b for b in basis), MPoly.zero(2))
+            for _ in range(width)
+        ]
+        e = sum(
+            (spec.from_sigma_poly(c) * y ** i for i, c in enumerate(coords)),
+            spec.zero(1),
+        )
+        if e.is_zero():
+            continue
+        a = sympy.Poly.from_list(
+            [domain.field(_ring_elem(ring, c)) for c in reversed(coords)],
+            T,
+            domain=domain,
+        )
+        expected = list(reversed(sympy.invert(a, modulus).rep.to_list()))
+        expected += [domain.zero] * (k - len(expected))
+        for i, (mine, want) in enumerate(zip(e.inverse().coords, expected)):
+            num = _ring_elem(ring, mine.ratfunc.num)
+            den = _ring_elem(ring, mine.ratfunc.den)
+            assert num * want.denom == want.numer * den, (k, trial, i)

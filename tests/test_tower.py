@@ -222,6 +222,22 @@ class TestInverse:
         assert e * e.inverse() == one2
         y3 = cubic.generator(3)
         assert y3 * y3.inverse() == cubic.one(3)
+        y1, y2 = cubic.generator(1), cubic.generator(2)
+        s1 = cubic.from_sigma_poly(sigma(3, 1))
+        s3 = cubic.from_sigma_poly(sigma(3, 3))
+        for e in (y2 ** 2 + y1, (s1 + y1) * y2 + 1, y2 * y3 + s3):
+            assert e * e.inverse() == cubic.one(e.level)
+
+    def test_false_attestation_detected_at_level_two(self):
+        # rho_1 = y1 * (s1^2 - 4*s2) = y1^3, so y2 - y1 is a zero divisor
+        spec = quad_spec()
+        y1 = spec.generator(1)
+        spec.add_level(3, y1 * spec.ps[0], ATTESTED_ASSERTED)
+        y2 = spec.generator(2)
+        with pytest.raises(AttestationError, match="level 2 .*refuted"):
+            (y2 - y1).inverse()
+        e = y2 + 1
+        assert e * e.inverse() == spec.one(2)
 
 
 # ---------------------------------------------------------------------------
