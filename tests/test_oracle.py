@@ -3,6 +3,7 @@
 Skipped when sympy is not installed.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,10 +11,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup
+from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize
 
 from radform import upoly
-from radform.cyclotomic import cyclotomic_poly
-from radform.multipoly import MPoly
+from radform.cyclotomic import cyclotomic_poly, root_of_unity
+from radform.multipoly import MPoly, permute_vars, substitute, symmetrize
 from radform.permchar import Perm, commutator_closure
 from radform.tower import ATTESTED_VERIFIED, TowerSpec, nonpower_check
 
@@ -124,3 +126,121 @@ def test_level_one_inverse_matches_sympy(k):
             num = _ring_elem(ring, mine.ratfunc.num)
             den = _ring_elem(ring, mine.ratfunc.den)
             assert num * want.denom == want.numer * den, (k, trial, i)
+
+
+# -- MPoly against sympy.Poly, with w = w_3 as an extra generator ------------
+
+W = sympy.Symbol("w")
+XS = sympy.symbols("x1:5")
+
+
+def _coeff(rng, with_w):
+    a = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if not with_w or rng.random() < 0.5:
+        return a
+    return a + Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * root_of_unity(3, 3)
+
+
+def _random_mpoly(rng, n, with_w, terms=4, degree=3):
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        exps = tuple(rng.randint(0, degree) for _ in range(n))
+        out[exps] = _coeff(rng, with_w)
+    return MPoly(n, out)
+
+
+def _gens(n):
+    return (W,) + XS[:n]
+
+
+def _sym(poly):
+    """poly as a sympy.Poly in (w, x1, ..., xn), w standing for w_N."""
+    terms = {}
+    for exps, coeff in poly.terms.items():
+        for j, part in enumerate(coeff.coeffs):
+            if part:
+                terms[(j,) + exps] = sympy.Rational(part.numerator, part.denominator)
+    return sympy.Poly.from_dict(terms or {(0,) * (poly.nvars + 1): 0}, *_gens(poly.nvars),
+                                domain="QQ")
+
+
+def _reduced(poly, n):
+    """The sympy remainder modulo Phi_3(w); w is the main generator."""
+    return poly.rem(sympy.Poly(W ** 2 + W + 1, *_gens(n), domain="QQ"))
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_mpoly_ring_operations_match_sympy(with_w):
+    rng = random.Random(404 + with_w)
+    for trial in range(25):
+        n = rng.randint(1, 4)
+        f, g = _random_mpoly(rng, n, with_w), _random_mpoly(rng, n, with_w)
+        sf, sg = _sym(f), _sym(g)
+        assert _sym(f + g) == _reduced(sf + sg, n), trial
+        assert _sym(f - g) == _reduced(sf - sg, n), trial
+        assert _sym(f * g) == _reduced(sf * sg, n), trial
+        e = rng.randint(0, 4)
+        assert _sym(f ** e) == _reduced(sf ** e, n), trial
+
+
+def _expr(poly, symbols):
+    """poly as a sympy expression in the given symbols, with w for w_3."""
+    total = sympy.Integer(0)
+    for exps, coeff in poly.terms.items():
+        c = sum(sympy.Rational(p.numerator, p.denominator) * W ** j
+                for j, p in enumerate(coeff.coeffs))
+        total += c * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+    return total
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_substitute_and_permute_match_sympy(with_w):
+    rng = random.Random(505 + with_w)
+    ys = sympy.symbols("y1:5")
+    for trial in range(20):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        f = _random_mpoly(rng, n, with_w, degree=2)
+        images = {i: _random_mpoly(rng, m, with_w, terms=3, degree=2) for i in range(1, n + 1)}
+        expr = _expr(f, ys).subs({ys[i - 1]: _expr(images[i], XS) for i in images})
+        expected = _reduced(sympy.Poly(sympy.expand(expr), *_gens(m), domain="QQ"), m)
+        assert _sym(substitute(f, images, out_nvars=m)) == expected, trial
+        alpha = rng.sample(range(1, n + 1), n)
+        moved = _expr(f, [XS[alpha[i] - 1] for i in range(n)])
+        expected = _reduced(sympy.Poly(moved, *_gens(n), domain="QQ"), n)
+        assert _sym(permute_vars(f, alpha)) == expected, trial
+
+
+# -- symmetrize against sympy.polys.polyfuncs.symmetrize ----------------------
+
+
+def _orbit_sum(rng, n):
+    """A random symmetric polynomial: the S_n-orbit sum of a few terms."""
+    seed = _random_mpoly(rng, n, False, terms=3, degree=3)
+    total = MPoly.zero(n)
+    for alpha in itertools.permutations(range(1, n + 1)):
+        total = total + permute_vars(seed, alpha)
+    return total
+
+
+def _check_symmetrize(f):
+    n = f.nvars
+    ours = symmetrize(f).poly
+    xs = XS[:n]
+    formal, rest, _ = sympy_symmetrize(_expr(f, xs), *xs, formal=True)
+    assert rest == 0
+    sigmas = sympy.symbols(f"s1:{n + 1}")
+    assert sympy.expand(_expr(ours, sigmas) - formal) == 0
+
+
+def test_symmetrize_matches_sympy():
+    rng = random.Random(606)
+    for _ in range(12):
+        _check_symmetrize(_orbit_sum(rng, rng.randint(1, 4)))
+
+
+def test_symmetrize_square_of_vandermonde_four():
+    delta = MPoly.constant(4, 1)
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            delta = delta * (MPoly.variable(4, i) - MPoly.variable(4, j))
+    _check_symmetrize(delta ** 2)
