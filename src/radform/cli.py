@@ -16,7 +16,13 @@ import sys
 from dataclasses import dataclass, field
 
 from radform.cyclotomic import root_of_unity
-from radform.dsl import DslError, PolyContext, max_name_index, parse_expression
+from radform.dsl import (
+    DslError,
+    PolyContext,
+    degree_bound,
+    max_name_index,
+    parse_expression,
+)
 from radform.formula import (
     FormalRadicalFormula,
     PolyRadicalFormula,
@@ -27,7 +33,7 @@ from radform.formula import (
     to_poly_formula,
     verify_poly_formula,
 )
-from radform.multipoly import symmetrize
+from radform.multipoly import ExponentOverflowError, symmetrize
 from radform.obstruction import run_ruffini
 from radform.permchar import Perm, character_of
 from radform.resolvent import abel_polynomialize, derive_witnesses
@@ -56,6 +62,18 @@ def _emit(config: CliConfig, text: str):
 def _fail(message: str, code: int) -> int:
     print(message, file=sys.stderr)
     return code
+
+
+def _over_cap(config: CliConfig, expr: str, ctx) -> str | None:
+    """Why expr is refused, when its syntactic degree bound exceeds the cap;
+    checked before anything is expanded."""
+    bound = degree_bound(expr, ctx)
+    if bound > config.max_degree:
+        return (
+            f"degree bound {bound} exceeds the cap {config.max_degree} "
+            "(raise it with --max-degree)"
+        )
+    return None
 
 
 def _read_document(path: str):
@@ -117,6 +135,9 @@ def cmd_character(config: CliConfig, expr: str, q: int, perms) -> int:
         for digits in re.findall(r"\d+", text):
             n = max(n, int(digits))
     ctx = PolyContext(n, {f"x{i}": i for i in range(1, n + 1)}, where="f")
+    refusal = _over_cap(config, expr, ctx)
+    if refusal:
+        return _fail(refusal, 1)
     f = parse_expression(expr, ctx)
     lines = []
     for text in perms:
@@ -138,15 +159,10 @@ def cmd_symmetrize(config: CliConfig, expr: str) -> int:
     if n == 0:
         return _fail("expression mentions no x-variables", 2)
     ctx = PolyContext(n, {f"x{i}": i for i in range(1, n + 1)}, where="f")
+    refusal = _over_cap(config, expr, ctx)
+    if refusal:
+        return _fail(refusal, 1)
     f = parse_expression(expr, ctx)
-    if not f.is_zero():
-        exps, _ = f.leading_term()
-        if sum(exps) > config.max_degree:
-            return _fail(
-                f"degree {sum(exps)} exceeds the cap {config.max_degree} "
-                "(raise it with --max-degree)",
-                1,
-            )
     try:
         result = symmetrize(f)
     except ValueError as err:
@@ -248,6 +264,8 @@ def main(argv=None) -> int:
             return cmd_builtin(config, args.name)
     except DslError as err:
         return _fail(str(err), 2)
+    except ExponentOverflowError as err:
+        return _fail(str(err), 1)
     except OSError as err:
         return _fail(str(err), 2)
     raise AssertionError(f"unhandled command {args.command!r}")

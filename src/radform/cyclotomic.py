@@ -1,14 +1,17 @@
 """Exact arithmetic in the cyclotomic-rational fields Q(w_N).
 
 w_N denotes the primitive N-th root of unity cos(2*pi/N) + i*sin(2*pi/N).
-A scalar of order N is stored by its coordinates on the power basis
-1, w_N, ..., w_N^(phi(N)-1), reduced modulo the N-th cyclotomic polynomial,
-so the representation is canonical and equality is a coordinate comparison.
-Coordinates are arbitrary-precision rationals; nothing in this module
-touches floating point.
+A scalar of order N is stored by its rational coordinates on the power
+basis 1, w_N, ..., w_N^(phi(N)-1), so equality is a coordinate comparison.
+Nothing in this module touches floating point.  Scalars of different
+orders combine in Q(w_M), M the lcm of the orders (w_q = w_M^(M/q)).
 
-Scalars of different orders combine by lifting both operands into Q(w_M)
-for M the lcm of the two orders (w_q = w_M^(M/q)).
+This module also holds the arithmetic that scalars share with the
+polynomials of radform.multipoly: a sparse dict from a packed monomial
+(an int whose lowest FIELD_BITS bits are the exponent of w_N; a scalar
+has no other fields) to a rational.  mul_terms is the one product loop,
+a monomial product being one key addition, and reduce_phi is the one
+reduction modulo Phi_N, rewriting w-exponents of phi(N) and above.
 """
 
 from __future__ import annotations
@@ -20,16 +23,27 @@ from fractions import Fraction
 from radform import upoly
 
 __all__ = [
+    "FIELD_BITS",
+    "FIELD_MASK",
     "CycScalar",
+    "coerced",
     "OrderMismatchError",
     "cyclotomic_poly",
     "euler_phi",
+    "join_terms",
+    "mul_terms",
+    "power",
     "project",
+    "reduce_phi",
     "root_of_unity",
+    "term_text",
 ]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+FIELD_BITS = 32
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
 
 class OrderMismatchError(ValueError):
@@ -38,17 +52,11 @@ class OrderMismatchError(ValueError):
 
 @functools.cache
 def cyclotomic_poly(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of the cyclotomic polynomial Phi_order, low degree first.
-
-    Computed by dividing t^order - 1 by the product of Phi_d over the
-    proper divisors d of order.
-    """
+    """Coefficients of Phi_order, low degree first: t^order - 1 divided by
+    the product of Phi_d over the proper divisors d of order."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    num = [_F0] * (order + 1)
-    num[0] = Fraction(-1)
-    num[order] = _F1
-    den = [_F1]
+    num, den = [Fraction(-1)] + [_F0] * (order - 1) + [_F1], [_F1]
     for d in range(1, order):
         if order % d == 0:
             den = upoly.mul(den, cyclotomic_poly(d), _F0)
@@ -62,16 +70,86 @@ def euler_phi(order: int) -> int:
     return len(cyclotomic_poly(order)) - 1
 
 
-def _reduce(cs, order):
-    return upoly.divmod(cs, cyclotomic_poly(order), None, _F0)[1]
+def reduce_phi(terms: dict, order: int) -> dict:
+    """Rewrite, in place, each key's w-exponent (its lowest FIELD_BITS bits)
+    below phi(order) through Phi_order(w) = 0, highest exponent first.
+    Coefficients that cancel to zero stay in the dict."""
+    phi = euler_phi(order)
+    # w^phi = sum of -c_j * w^j over the lower coefficients c_j of Phi_order
+    rule = [(j, -int(c)) for j, c in enumerate(cyclotomic_poly(order)[:-1]) if c]
+    top = max((k & FIELD_MASK for k in terms), default=0)
+    for e in range(top, phi - 1, -1):
+        for key in [k for k in terms if k & FIELD_MASK == e]:
+            c = terms.pop(key)
+            base = key - phi
+            for j, cj in rule:
+                terms[base + j] = terms.get(base + j, 0) + c * cj
+    return terms
 
 
-def _as_scalar(x, order=1):
-    if isinstance(x, CycScalar):
-        return x
+def mul_terms(p: dict, q: dict, order: int) -> dict:
+    """Product of two packed term dicts in Q(w_order)[x], reduced by Phi_order.
+    Coefficients that cancel to zero stay in the result."""
+    if len(p) < len(q):
+        p, q = q, p
+    acc = {}
+    get = acc.get
+    for k1, c1 in q.items():
+        for k2, c2 in p.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    return reduce_phi(acc, order) if order > 1 else acc
+
+
+def _sparse(coeffs) -> dict:
+    return {j: c for j, c in enumerate(coeffs) if c}
+
+
+def join_terms(parts) -> str:
+    """Rendered terms joined by + and -, a leading minus sign absorbed."""
+    out = parts[0] if parts else "0"
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def term_text(coeff: str, body: str) -> str:
+    """One rendered term: a coefficient times a monomial body (maybe empty)."""
+    if not body:
+        return coeff
+    if coeff in ("1", "-1"):
+        return coeff[:-1] + body
+    return f"{coeff}*{body}"
+
+
+def power(base, exponent: int, one):
+    """base ** exponent by repeated squaring, for exponent >= 0."""
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
+def coerced(coerce):
+    """Binary-operator decorator: the operand goes through coerce(self, other)
+    first, and a None from it means NotImplemented."""
+    def decorate(method):
+        @functools.wraps(method)
+        def operator(self, other):
+            other = coerce(self, other)
+            return NotImplemented if other is None else method(self, other)
+        return operator
+    return decorate
+
+
+def _as_scalar(self, x):
     if isinstance(x, (int, Fraction)):
-        return CycScalar(order, (Fraction(x),))
-    return None
+        return CycScalar(1, (x,))
+    return x if isinstance(x, CycScalar) else None
 
 
 class CycScalar:
@@ -83,11 +161,10 @@ class CycScalar:
         phi = euler_phi(order)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > phi:
-            cs = list(_reduce(cs, order))
-        if len(cs) < phi:
-            cs = cs + [_F0] * (phi - len(cs))
+            reduced = reduce_phi(_sparse(cs), order)
+            cs = [reduced.get(j, _F0) for j in range(phi)]
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", tuple(cs + [_F0] * (phi - len(cs))))
 
     def __setattr__(self, name, value):
         raise AttributeError("CycScalar is immutable")
@@ -116,11 +193,8 @@ class CycScalar:
             raise OrderMismatchError(
                 f"cannot lift order {self.order} into order {order}"
             )
-        k = order // self.order
-        cs = [_F0] * ((len(self.coeffs) - 1) * k + 1) if self.coeffs else [_F0]
-        for j, c in enumerate(self.coeffs):
-            if c:
-                cs[j * k] = c
+        cs = [_F0] * (len(self.coeffs) * (order // self.order))
+        cs[:: order // self.order] = self.coeffs
         return CycScalar(order, cs)
 
     def _common(self, other):
@@ -145,10 +219,8 @@ class CycScalar:
 
     # -- arithmetic --------------------------------------------------------
 
+    @coerced(_as_scalar)
     def __add__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         a, b = self._common(other)
         return CycScalar(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
@@ -157,26 +229,19 @@ class CycScalar:
     def __neg__(self):
         return CycScalar(self.order, tuple(-c for c in self.coeffs))
 
+    @coerced(_as_scalar)
     def __sub__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @coerced(_as_scalar)
     def __rsub__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @coerced(_as_scalar)
     def __mul__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         a, b = self._common(other)
-        return CycScalar(
-            a.order, upoly.mul(upoly.trim(a.coeffs), upoly.trim(b.coeffs), _F0)
-        )
+        product = mul_terms(_sparse(a.coeffs), _sparse(b.coeffs), a.order)
+        return CycScalar(a.order, [product.get(j, _F0) for j in range(len(a.coeffs))])
 
     __rmul__ = __mul__
 
@@ -188,41 +253,24 @@ class CycScalar:
         )
         if len(g) != 1:
             raise AssertionError("cyclotomic polynomial split unexpectedly")
-        c = g[0]
-        return CycScalar(self.order, tuple(x / c for x in s))
+        return CycScalar(self.order, [x / g[0] for x in s])
 
+    @coerced(_as_scalar)
     def __truediv__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         return self * other.inv()
 
+    @coerced(_as_scalar)
     def __rtruediv__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         return other * self.inv()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self
-        if exponent < 0:
-            base = self.inv()
-            exponent = -exponent
-        result = CycScalar.one(base.order)
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        base = self.inv() if exponent < 0 else self
+        return power(base, abs(exponent), CycScalar.one(base.order))
 
+    @coerced(_as_scalar)
     def __eq__(self, other):
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
         a, b = self._common(other)
         return a.coeffs == b.coeffs
 
@@ -232,26 +280,10 @@ class CycScalar:
         return f"CycScalar({self.order}, {[str(c) for c in self.coeffs]})"
 
     def __str__(self):
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                root = f"w({self.order})" if j == 1 else f"w({self.order})^{j}"
-                if c == 1:
-                    parts.append(root)
-                elif c == -1:
-                    parts.append(f"-{root}")
-                else:
-                    parts.append(f"{c}*{root}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_terms([
+            term_text(str(c), f"w({self.order})" + (f"^{j}" if j > 1 else "") if j else "")
+            for j, c in enumerate(self.coeffs) if c
+        ])
 
 
 def root_of_unity(q: int, order: int) -> CycScalar:
@@ -260,55 +292,37 @@ def root_of_unity(q: int, order: int) -> CycScalar:
         raise ValueError("root orders must be positive")
     if order % q:
         raise OrderMismatchError(f"{q} does not divide the ambient order {order}")
-    k = order // q
-    cs = [_F0] * (k + 1)
-    cs[k] = _F1
-    return CycScalar(order, cs)
+    return CycScalar(order, [_F0] * (order // q) + [_F1])
 
 
 def project(x: CycScalar, order: int) -> CycScalar | None:
     """Rewrite x on the power basis of Q(w_order) if x lies in that subfield.
 
     Returns None when x is outside Q(w_order).  Solved as an exact linear
-    system over Q: the candidate basis powers w_order^j are lifted into a
-    common field and Gauss elimination looks for coordinates of x.
+    system over Q: Gauss-Jordan elimination looks for coordinates of x on
+    the powers w_order^j lifted into a common field, and the candidate is
+    checked by lifting it back.
     """
     common = math.lcm(x.order, order)
     target = x.lift(common)
-    cols = []
-    for j in range(euler_phi(order)):
-        basis_power = CycScalar(order, [_F0] * j + [_F1])
-        cols.append(basis_power.lift(common).coeffs)
-    rows = len(target.coeffs)
-    ncols = len(cols)
-    mat = [[cols[c][r] for c in range(ncols)] + [target.coeffs[r]] for r in range(rows)]
+    ncols = euler_phi(order)
+    cols = [CycScalar(order, [_F0] * j + [_F1]).lift(common).coeffs for j in range(ncols)]
+    mat = [[col[r] for col in cols] + [t] for r, t in enumerate(target.coeffs)]
     pivots = []
-    row = 0
     for col in range(ncols):
-        pivot = next((r for r in range(row, rows) if mat[r][col]), None)
+        row = len(pivots)
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        lead = mat[row][col]
-        mat[row] = [v / lead for v in mat[row]]
-        for r in range(rows):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[row])]
+        mat[row] = [v / mat[row][col] for v in mat[row]]
+        for r, line in enumerate(mat):
+            factor = line[col]
+            if r != row and factor:
+                mat[r] = [v - factor * w for v, w in zip(line, mat[row])]
         pivots.append(col)
-        row += 1
-        if row == rows:
-            break
     solution = [_F0] * ncols
-    for r in range(row):
-        rhs = mat[r][ncols]
-        col = pivots[r]
-        solution[col] = rhs
-    for r in range(row, rows):
-        if mat[r][ncols]:
-            return None
-    # verify (guards the free-variable case)
+    for r, col in enumerate(pivots):
+        solution[col] = mat[r][ncols]
     candidate = CycScalar(order, solution)
-    if candidate.lift(common).coeffs != target.coeffs:
-        return None
-    return candidate
+    return candidate if candidate.lift(common) == target else None

@@ -24,6 +24,7 @@ from radform.tower import TowerElem, TowerSpec
 
 __all__ = [
     "DslError",
+    "degree_bound",
     "PolyContext",
     "Token",
     "TowerContext",
@@ -170,6 +171,56 @@ class TowerContext:
             raise DslError("division by zero", tok.line, tok.col)
         inv = TowerElem(self.spec, 0, den.payload.inv())
         return num * inv
+
+
+class _Degree:
+    """A total-degree bound: sums take the larger bound, products add
+    bounds, and a k-th power multiplies one by k."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __add__(self, other):
+        return _Degree(max(self.d, other.d))
+
+    __sub__ = __add__
+
+    def __neg__(self):
+        return self
+
+    def __mul__(self, other):
+        return _Degree(self.d + other.d)
+
+    def __pow__(self, k: int):
+        return _Degree(self.d * k)
+
+
+class _DegreeContext:
+    """Evaluate to degree bounds; names are checked against another context."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def integer(self, value: int):
+        return _Degree(0)
+
+    def unity_root(self, q: int):
+        return _Degree(0)
+
+    def variable(self, name: str, tok: Token):
+        self.ctx.variable(name, tok)
+        return _Degree(1)
+
+    def divide(self, num, den, tok: Token):
+        return num
+
+
+def degree_bound(source, ctx) -> int:
+    """An upper bound on the total degree of an expression, read off its
+    syntax without expanding anything; its names must be known to ctx."""
+    return parse_expression(source, _DegreeContext(ctx)).d
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Sparse multivariate polynomials over the cyclotomic-rational scalars.
 
-A polynomial knows its variable count; terms live in a dict mapping
-exponent tuples to nonzero CycScalar coefficients, all lifted to one
-ambient cyclotomic order.  The canonical form makes structural equality
-coincide with semantic equality.  The monomial order used everywhere
-(leading terms, the symmetrization loop, root extraction) is graded
-lexicographic: compare total degree first, then the exponent tuple.
+A polynomial in x_1..x_n over Q(w_N) is a dict from packed monomials to
+nonzero rationals (int or Fraction), with its variable count and order N.
+A packed monomial is one int of FIELD_BITS-wide fields: from the top, the
+total degree, the exponents of x_1..x_n, and the exponent of w_N, kept
+below phi(N) by cyclotomic.reduce_phi.  So graded-lex order (total degree,
+then the exponent tuple; used everywhere) is int comparison, a monomial
+product is one int addition, and a coefficient is the set of keys that
+differ only in the w-field.  An exponent too large for its field raises
+ExponentOverflowError; a carry is never silent.  N is the lcm of the
+orders of the non-rational coefficients, 1 if there are none.  The form
+is canonical, so structural equality is semantic equality.  `terms`
+rebuilds the {exponent tuple: CycScalar} view on every access.
 
 Beyond ring arithmetic this module carries the symmetric-function kit:
 elementary symmetric polynomials, invariance tests under the full and the
@@ -17,12 +23,25 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 from fractions import Fraction
 
-from radform.cyclotomic import CycScalar
+from radform.cyclotomic import (
+    FIELD_BITS,
+    FIELD_MASK,
+    CycScalar,
+    coerced,
+    euler_phi,
+    join_terms,
+    mul_terms,
+    power,
+    reduce_phi,
+    term_text,
+)
 
 __all__ = [
     "ElemSymBasisExpr",
+    "ExponentOverflowError",
     "MPoly",
     "NO_ROOT",
     "NotSymmetricError",
@@ -47,74 +66,142 @@ class NotSymmetricError(ValueError):
         self.witness = witness
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+class ExponentOverflowError(OverflowError):
+    """An exponent does not fit its packed field."""
+
+    def __init__(self, index):
+        super().__init__(f"exponent of x{index} overflows its {FIELD_BITS}-bit field")
+        self.index = index
 
 
-def _as_coeff(value):
+def _shift(nvars, index):
+    """Bit offset of the field of x_index (1-based)."""
+    return FIELD_BITS * (nvars - index + 1)
+
+
+def _pack(exps, nvars) -> int:
+    key = sum(exps)
+    for i, e in enumerate(exps, start=1):
+        if e > FIELD_MASK:
+            raise ExponentOverflowError(i)
+        key = key << FIELD_BITS | e
+    return key << FIELD_BITS
+
+
+def _exps(key, nvars) -> tuple:
+    """The x-exponent tuple of a packed key."""
+    return tuple(key >> s & FIELD_MASK for s in range(FIELD_BITS * nvars, 0, -FIELD_BITS))
+
+
+def _num(c):
+    return c.numerator if c.denominator == 1 else c
+
+
+def _scalar_terms(value):
+    """(order, {w-exponent: coefficient}) of an int, Fraction or CycScalar."""
     if isinstance(value, CycScalar):
-        return value
+        if value.is_rational():
+            value = value.coeffs[0]
+        else:
+            return value.order, {j: _num(c) for j, c in enumerate(value.coeffs) if c}
     if isinstance(value, (int, Fraction)):
-        return CycScalar.from_rational(value)
+        return 1, ({0: _num(value)} if value else {})
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+
+
+def _lift(terms, order, target):
+    """Packed terms of order `order` rewritten in Q(w_target)."""
+    if order == target or order == 1:
+        return terms
+    step = target // order - 1
+    lifted = reduce_phi({k + (k & FIELD_MASK) * step: c for k, c in terms.items()}, target)
+    return {k: c for k, c in lifted.items() if c}
+
+
+def _grouped(terms):
+    """{key with a zero w-field: {w-exponent: coefficient}}."""
+    groups = {}
+    for k, c in terms.items():
+        w = k & FIELD_MASK
+        groups.setdefault(k - w, {})[w] = c
+    return groups
+
+
+def _make(nvars, order, terms, poly=None) -> "MPoly":
+    """The polynomial that takes ownership of the packed terms at `order`;
+    zero coefficients are dropped in place."""
+    poly = object.__new__(MPoly) if poly is None else poly
+    for k in [k for k, c in terms.items() if not c]:
+        del terms[k]
+    if order > 1 and not any(k & FIELD_MASK for k in terms):
+        order = 1
+    object.__setattr__(poly, "nvars", nvars)
+    object.__setattr__(poly, "order", order)
+    object.__setattr__(poly, "_terms", terms)
+    return poly
+
+
+def _combine(p, q, sign):
+    """p + sign * q on packed term dicts of one order."""
+    out = dict(p)
+    get = out.get
+    for k, c in q.items():
+        out[k] = get(k, 0) + sign * c
+    return out
 
 
 class MPoly:
     """Polynomial in nvars variables with exact cyclotomic coefficients."""
 
-    __slots__ = ("nvars", "terms", "order")
+    __slots__ = ("nvars", "order", "_terms")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        clean = {}
-        order = 1
-        if terms:
-            staged = []
-            for exps, coeff in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars or any(e < 0 for e in exps):
-                    raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-                coeff = _as_coeff(coeff)
-                if coeff.is_zero():
-                    continue
-                staged.append((exps, coeff))
-                order = math.lcm(order, coeff.order)
-            for exps, coeff in staged:
-                lifted = coeff.lift(order)
-                if exps in clean:
-                    merged = clean[exps] + lifted
-                    if merged.is_zero():
-                        del clean[exps]
-                    else:
-                        clean[exps] = merged
-                else:
-                    clean[exps] = lifted
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", order if clean else 1)
+        order, staged = 1, []
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(int(e) for e in exps)
+            if len(exps) != nvars or any(e < 0 for e in exps):
+                raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
+            c_order, c_terms = _scalar_terms(coeff)
+            staged.append((_pack(exps, nvars), c_order, c_terms))
+            order = math.lcm(order, c_order)
+        packed = {}
+        for key, c_order, c_terms in staged:
+            for w, c in _lift(c_terms, c_order, order).items():
+                packed[key + w] = packed.get(key + w, 0) + c
+        _make(nvars, order, packed, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: CycScalar} view, rebuilt on each access."""
+        return types.MappingProxyType({
+            _exps(x, self.nvars): self._scalar(ws)
+            for x, ws in _grouped(self._terms).items()
+        })
+
+    def _scalar(self, ws) -> CycScalar:
+        return CycScalar(self.order, [ws.get(j, 0) for j in range(euler_phi(self.order))])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MPoly":
-        return cls(nvars, {})
+        return _make(nvars, 1, {})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "MPoly":
-        return cls(nvars, {(0,) * nvars: _as_coeff(value)})
+        return _make(nvars, *_scalar_terms(value))
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MPoly":
         """The monomial x_index; indices are 1-based."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        exps = [0] * nvars
-        exps[index - 1] = 1
-        return cls(nvars, {tuple(exps): 1})
+        return _make(nvars, 1, {(1 << FIELD_BITS * (nvars + 1)) | 1 << _shift(nvars, index): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "MPoly":
@@ -123,54 +210,61 @@ class MPoly:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> FIELD_BITS * (self.nvars + 1)
 
     def leading_term(self):
         """Graded-lex maximal (exponents, coefficient); None when zero."""
-        if not self.terms:
+        if not self._terms:
             return None
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        top, ws = self._lead()
+        return _exps(top, self.nvars), self._scalar(ws)
+
+    def _lead(self):
+        """(key of the leading x-monomial, its {w-exponent: coefficient})."""
+        top = max(self._terms)
+        top -= top & FIELD_MASK
+        return top, self._ws(top)
+
+    def _ws(self, key):
+        get = self._terms.get
+        return {j: c for j in range(euler_phi(self.order)) if (c := get(key + j))}
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not self._terms or max(self._terms) >> FIELD_BITS == 0
 
     def constant_value(self) -> CycScalar:
-        if not self.terms:
+        if not self._terms:
             return CycScalar.zero()
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms[(0,) * self.nvars]
+        return self._scalar(self._ws(0))
 
     def support_vars(self):
         """1-based indices of variables that actually occur."""
-        used = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used.add(i + 1)
-        return used
-
-    def coefficient(self, exps) -> CycScalar:
-        return self.terms.get(tuple(exps), CycScalar.zero())
+        used = 0
+        for k in self._terms:
+            used |= k
+        n = self.nvars
+        return {i for i in range(1, n + 1) if used >> _shift(n, i) & FIELD_MASK}
 
     def pad_vars(self, nvars: int) -> "MPoly":
         """Reinterpret in a larger variable list; new variables are unused."""
         if nvars < self.nvars:
             raise ValueError("pad_vars cannot shrink the variable list")
-        if nvars == self.nvars:
-            return self
-        extra = (0,) * (nvars - self.nvars)
-        return MPoly(nvars, {exps + extra: c for exps, c in self.terms.items()})
+        up = FIELD_BITS * (nvars - self.nvars)
+        return _make(nvars, self.order, {
+            (k - (k & FIELD_MASK) << up) + (k & FIELD_MASK): c
+            for k, c in self._terms.items()
+        })
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -185,51 +279,49 @@ class MPoly:
             return MPoly.constant(self.nvars, other)
         return None
 
+    def _aligned(self, other):
+        """Both packed term dicts lifted to one order, and that order."""
+        if self.order == other.order:
+            return self._terms, other._terms, self.order
+        m = math.lcm(self.order, other.order)
+        return _lift(self._terms, self.order, m), _lift(other._terms, other.order, m), m
+
+    @coerced(_coerce)
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            if exps in merged:
-                merged[exps] = merged[exps] + c
-            else:
-                merged[exps] = c
-        return MPoly(self.nvars, merged)
+        p, q, order = self._aligned(other)
+        if len(p) < len(q):
+            p, q = q, p
+        return _make(self.nvars, order, _combine(p, q, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _make(self.nvars, self.order, {k: -c for k, c in self._terms.items()})
 
+    @coerced(_coerce)
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        p, q, order = self._aligned(other)
+        return _make(self.nvars, order, _combine(p, q, -1))
 
+    @coerced(_coerce)
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return other - self
 
+    @coerced(_coerce)
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.terms or not other.terms:
+        p, q, order = self._aligned(other)
+        if not p or not q:
             return MPoly.zero(self.nvars)
-        acc = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                if key in acc:
-                    acc[key] = acc[key] + prod
-                else:
-                    acc[key] = prod
-        return MPoly(self.nvars, acc)
+        n = self.nvars
+        degree = FIELD_BITS * (n + 1)
+        # no exponent exceeds the total degree, so the fields need checking
+        # one by one only when the two degrees add up past a field
+        if (max(p) >> degree) + (max(q) >> degree) > FIELD_MASK:
+            tops = [[max(e) for e in zip(*(_exps(k, n) for k in t))] for t in (p, q)]
+            for i, (a, b) in enumerate(zip(*tops), start=1):
+                if a + b > FIELD_MASK:
+                    raise ExponentOverflowError(i)
+        return _make(n, order, mul_terms(p, q, order))
 
     __rmul__ = __mul__
 
@@ -243,70 +335,49 @@ class MPoly:
             other = CycScalar.from_rational(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        inv = other.inv()
-        return MPoly(self.nvars, {e: c * inv for e, c in self.terms.items()})
+        return self * other.inv()
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = MPoly.constant(self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, exponent, MPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
             other = MPoly.constant(self.nvars, other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        if self.nvars != other.nvars:
+            return False
+        p, q, _ = self._aligned(other)
+        return p == q
 
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
-        return f"MPoly({self.nvars}, {len(self.terms)} terms)"
+        return f"MPoly({self.nvars}, {len(_grouped(self._terms))} terms)"
 
     def __str__(self):
         return self.render()
 
     def render(self, names=None) -> str:
         """Human-readable form, terms in descending graded-lex order."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         if names is None:
             names = [f"x{i}" for i in range(1, self.nvars + 1)]
         parts = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            cs = str(coeff)
+        for key, ws in sorted(_grouped(self._terms).items(), reverse=True):
+            body = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(names, _exps(key, self.nvars)) if e
+            )
+            cs = str(self._scalar(ws))
             if " " in cs or cs.startswith("-") and body:
                 if not (cs.lstrip("-").replace("/", "").isdigit()):
                     cs = f"({cs})"
-            if not body:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(body)
-            elif cs == "-1":
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{cs}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            parts.append(term_text(cs, body))
+        return join_terms(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -320,55 +391,38 @@ def substitute(f: MPoly, images: dict, out_nvars: int | None = None) -> MPoly:
     treated as constants; out_nvars fixes the output arity when no image
     is a polynomial.
     """
-    poly_images = {k: v for k, v in images.items() if isinstance(v, MPoly)}
-    if poly_images:
-        arities = {p.nvars for p in poly_images.values()}
-        if len(arities) > 1:
-            raise ValueError(f"images disagree on variable count: {sorted(arities)}")
-        target = arities.pop()
-        if out_nvars is not None and out_nvars != target:
-            raise ValueError("out_nvars contradicts the polynomial images")
-    elif out_nvars is not None:
-        target = out_nvars
-    else:
-        target = f.nvars
+    arities = {v.nvars for v in images.values() if isinstance(v, MPoly)}
+    if len(arities) > 1:
+        raise ValueError(f"images disagree on variable count: {sorted(arities)}")
+    if arities and out_nvars not in (None, *arities):
+        raise ValueError("out_nvars contradicts the polynomial images")
+    target = arities.pop() if arities else f.nvars if out_nvars is None else out_nvars
     missing = f.support_vars() - set(images)
     if missing:
         raise ValueError(f"no image for variable(s) {sorted(missing)}")
-    prepared = {}
-    for k, v in images.items():
-        prepared[k] = v if isinstance(v, MPoly) else MPoly.constant(target, v)
-    power_cache: dict[tuple[int, int], MPoly] = {}
-
-    def img_power(i, e):
-        key = (i, e)
-        if key not in power_cache:
-            power_cache[key] = prepared[i] ** e
-        return power_cache[key]
-
+    prepared = {
+        k: v if isinstance(v, MPoly) else MPoly.constant(target, v)
+        for k, v in images.items()
+    }
+    powers = {}
     total = MPoly.zero(target)
-    for exps, coeff in f.terms.items():
-        term = MPoly.constant(target, coeff)
-        for i, e in enumerate(exps):
+    for key, ws in _grouped(f._terms).items():
+        term = _make(target, f.order, ws)
+        for i, e in enumerate(_exps(key, f.nvars), start=1):
             if e:
-                term = term * img_power(i + 1, e)
+                if (i, e) not in powers:
+                    powers[i, e] = prepared[i] ** e
+                term = term * powers[i, e]
         total = total + term
     return total
 
 
 def evaluate(f: MPoly, point) -> CycScalar:
     """Exact value of f at a tuple of cyclotomic scalars."""
-    point = [_as_coeff(p) for p in point]
     if len(point) != f.nvars:
         raise ValueError(f"need {f.nvars} coordinates, got {len(point)}")
-    total = CycScalar.zero()
-    for exps, coeff in f.terms.items():
-        value = coeff
-        for p, e in zip(point, exps):
-            if e:
-                value = value * p ** e
-        total = total + value
-    return total
+    images = {i: MPoly.constant(0, p) for i, p in enumerate(point, start=1)}
+    return substitute(f, images, out_nvars=0).constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -385,35 +439,33 @@ def _perm_images(alpha, nvars):
 
 def permute_vars(f: MPoly, alpha) -> MPoly:
     """f with variable i replaced by x_alpha(i); alpha gives 1-based images."""
-    images = _perm_images(alpha, f.nvars)
+    n = f.nvars
+    images = _perm_images(alpha, n)
+    moves = [(_shift(n, i), _shift(n, m)) for i, m in enumerate(images, 1) if m != i]
+    keep = ~sum(FIELD_MASK << src for src, _ in moves)
     out = {}
-    for exps, coeff in f.terms.items():
-        new = [0] * f.nvars
-        for i, e in enumerate(exps):
-            new[images[i] - 1] = e
-        out[tuple(new)] = coeff
-    return MPoly(f.nvars, out)
+    for k, c in f._terms.items():
+        new = k & keep
+        for src, dst in moves:
+            new |= (k >> src & FIELD_MASK) << dst
+        out[new] = c
+    return _make(n, f.order, out)
 
 
-def _transposition(n, i, j):
-    images = list(range(1, n + 1))
-    images[i - 1], images[j - 1] = images[j - 1], images[i - 1]
-    return tuple(images)
-
-
-def _three_cycle(n, a, b, c):
-    images = list(range(1, n + 1))
-    images[a - 1], images[b - 1], images[c - 1] = b, c, a
-    return tuple(images)
+def _invariant(f, generators, witness):
+    for g in generators:
+        if permute_vars(f, g) != f:
+            return (False, g) if witness else False
+    return (True, None) if witness else True
 
 
 def is_symmetric(f: MPoly, witness: bool = False):
     """Invariance under all of S_n, tested on the transpositions (1 m)."""
-    for m in range(2, f.nvars + 1):
-        t = _transposition(f.nvars, 1, m)
-        if permute_vars(f, t) != f:
-            return (False, t) if witness else False
-    return (True, None) if witness else True
+    n = f.nvars
+    return _invariant(f, (
+        (m,) + tuple(range(2, m)) + (1,) + tuple(range(m + 1, n + 1))
+        for m in range(2, n + 1)
+    ), witness)
 
 
 def is_even_symmetric(f: MPoly, witness: bool = False):
@@ -423,11 +475,11 @@ def is_even_symmetric(f: MPoly, witness: bool = False):
     generators settles the whole group.  With fewer than three variables
     the group is trivial and everything passes.
     """
-    for m in range(3, f.nvars + 1):
-        g = _three_cycle(f.nvars, 1, 2, m)
-        if permute_vars(f, g) != f:
-            return (False, g) if witness else False
-    return (True, None) if witness else True
+    n = f.nvars
+    return _invariant(f, (
+        (2, m) + tuple(range(3, m)) + (1,) + tuple(range(m + 1, n + 1))
+        for m in range(3, n + 1)
+    ), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +492,10 @@ def elem_sym(n: int, i: int) -> MPoly:
         raise ValueError(f"elem_sym index {i} out of range 0..{n}")
     if i == 0:
         return MPoly.constant(n, 1)
-    terms = {}
-    for combo in itertools.combinations(range(n), i):
-        exps = [0] * n
-        for c in combo:
-            exps[c] = 1
-        terms[tuple(exps)] = 1
-    return MPoly(n, terms)
+    return MPoly(n, {
+        tuple(int(j in combo) for j in range(n)): 1
+        for combo in itertools.combinations(range(n), i)
+    })
 
 
 class ElemSymBasisExpr:
@@ -459,10 +508,6 @@ class ElemSymBasisExpr:
 
     def __setattr__(self, name, value):
         raise AttributeError("ElemSymBasisExpr is immutable")
-
-    @property
-    def nsigma(self) -> int:
-        return self.poly.nvars
 
     def expand(self) -> MPoly:
         """Substitute the actual elementary symmetric polynomials back in."""
@@ -497,22 +542,21 @@ def symmetrize(f: MPoly) -> ElemSymBasisExpr:
             f"not symmetric: transposition {t} changes the polynomial", witness=t
         )
     n = f.nvars
-    sigma = MPoly.zero(n)
-    remainder = f
-    while remainder.terms:
-        exps, coeff = remainder.leading_term()
-        if any(exps[i] < exps[i + 1] for i in range(n - 1)):
+    sigma, remainder = MPoly.zero(n), f
+    while remainder:
+        top, ws = remainder._lead()
+        exps = _exps(top, n)
+        if any(a < b for a, b in zip(exps, exps[1:])):
             raise AssertionError(
                 f"leading exponents {exps} of a symmetric polynomial not sorted"
             )
-        powers = tuple(
-            exps[i] - (exps[i + 1] if i + 1 < n else 0) for i in range(n)
-        )
-        sigma = sigma + MPoly.monomial(n, powers, coeff)
-        expansion = MPoly.constant(n, coeff)
-        for i, p in enumerate(powers):
+        powers = [a - b for a, b in zip(exps, exps[1:] + (0,))]
+        key = _pack(powers, n)
+        sigma = sigma + _make(n, remainder.order, {key + w: c for w, c in ws.items()})
+        expansion = _make(n, remainder.order, ws)
+        for i, p in enumerate(powers, start=1):
             if p:
-                expansion = expansion * elem_sym(n, i + 1) ** p
+                expansion = expansion * elem_sym(n, i) ** p
         remainder = remainder - expansion
     result = ElemSymBasisExpr(sigma)
     if result.expand() != f:
@@ -541,25 +585,17 @@ UNDECIDED = _Verdict("UNDECIDED")
 def _int_kth_root(n: int, k: int) -> int | None:
     if n < 0:
         return None
-    if n in (0, 1):
-        return n
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
+        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid - 1)
     return lo if lo ** k == n else None
 
 
 def _fraction_kth_root(value: Fraction, k: int):
-    """Exact rational k-th root, or UNDECIDED when none exists in Q.
-
-    A missing rational root is never a refutation here: the root may live
-    in a larger cyclotomic field (sqrt(2), sqrt(-1), ...), which is out of
-    scope for this extractor.
-    """
+    """Exact rational k-th root, or UNDECIDED when none exists in Q: the
+    root may still live in a larger cyclotomic field (sqrt(2), sqrt(-1),
+    ...), so a missing rational root is never a refutation here."""
     if value < 0:
         if k % 2 == 0:
             return UNDECIDED
@@ -583,33 +619,43 @@ def kth_root_poly(f: MPoly, k: int):
         raise ValueError("k must be positive")
     if k == 1 or f.is_zero():
         return f
-    exps, coeff = f.leading_term()
-    if any(e % k for e in exps):
+    n = f.nvars
+    top, ws = f._lead()
+    if any(e % k for e in _exps(top, n)):
         return NO_ROOT
-    if not coeff.is_rational():
+    if set(ws) != {0}:
         return UNDECIDED
-    lead_root = _fraction_kth_root(coeff.as_fraction(), k)
+    lead_root = _fraction_kth_root(Fraction(ws[0]), k)
     if lead_root is UNDECIDED:
         return UNDECIDED
-    root_exps = tuple(e // k for e in exps)
-    lead_coeff = CycScalar.from_rational(lead_root)
-    g = MPoly.monomial(f.nvars, root_exps, lead_coeff)
-    denom = CycScalar.from_rational(k) * lead_coeff ** (k - 1)
-    denom_inv = denom.inv()
-    last_key = None
+    root_key = _pack([e // k for e in _exps(top, n)], n)
+    g = _make(n, 1, {root_key: lead_root})
+    denom_inv = 1 / (k * lead_root ** (k - 1))
+    last = None
     while True:
         r = f - g ** k
         if r.is_zero():
             return g
-        rexps, rcoeff = r.leading_term()
-        t_exps = tuple(a - b * (k - 1) for a, b in zip(rexps, root_exps))
-        if any(e < 0 for e in t_exps):
+        t = _divide_lead(r, root_key * (k - 1), denom_inv)
+        if t is None:
             return NO_ROOT
-        key = _grlex_key(t_exps)
-        if key >= _grlex_key(root_exps) or (last_key is not None and key >= last_key):
+        t_key = t._lead()[0]
+        if t_key >= root_key or (last is not None and t_key >= last):
             return NO_ROOT
-        last_key = key
-        g = g + MPoly.monomial(f.nvars, t_exps, rcoeff * denom_inv)
+        last = t_key
+        g = g + t
+
+
+def _divide_lead(r: MPoly, key: int, scale):
+    """The leading term of r over the monomial `key`, times scale; None when
+    that monomial does not divide it."""
+    n = r.nvars
+    top, ws = r._lead()
+    exps = [a - b for a, b in zip(_exps(top, n), _exps(key, n))]
+    if any(e < 0 for e in exps):
+        return None
+    t = _pack(exps, n)
+    return _make(n, r.order, {t + w: c for w, c in ws.items()}) * scale
 
 
 def divide_exact(a: MPoly, b: MPoly) -> MPoly | None:
@@ -618,16 +664,12 @@ def divide_exact(a: MPoly, b: MPoly) -> MPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.nvars != b.nvars:
         raise ValueError("variable count mismatch in division")
-    bexps, bcoeff = b.leading_term()
-    binv = bcoeff.inv()
-    quotient = MPoly.zero(a.nvars)
-    r = a
-    while r.terms:
-        rexps, rcoeff = r.leading_term()
-        t_exps = tuple(x - y for x, y in zip(rexps, bexps))
-        if any(e < 0 for e in t_exps):
+    btop, bws = b._lead()
+    binv = b._scalar(bws).inv()
+    quotient, r = MPoly.zero(a.nvars), a
+    while r:
+        t = _divide_lead(r, btop, binv)
+        if t is None:
             return None
-        t = MPoly.monomial(a.nvars, t_exps, rcoeff * binv)
-        quotient = quotient + t
-        r = r - t * b
+        quotient, r = quotient + t, r - t * b
     return quotient

@@ -1,0 +1,81 @@
+"""What the benchmark's external tracer (bench/tracer.py) needs from radform.
+
+The tracer wraps radform's layer functions from outside the package, so a
+refactor can break a traced benchmark run without breaking any other test.
+These tests load the tracer read-only and check that every target it names
+resolves the way Tracer.install resolves it, and that the `terms` view it
+reads for coefficient sizes keeps its shape.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from radform.cyclotomic import CycScalar, root_of_unity
+from radform.multipoly import MPoly
+
+TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("target", tracer.TARGETS, ids=[t[0] for t in tracer.TARGETS])
+def test_target_resolves_as_install_does(target):
+    _, module_name, path, _ = target
+    owner = importlib.import_module(module_name)
+    *owner_path, attr = path.split(".")
+    for part in owner_path:
+        owner = getattr(owner, part)
+    if owner_path:
+        # install() reads the class's own __dict__: a method inherited from
+        # a base class would not be found there
+        assert attr in vars(owner), f"{path} is not defined in its class body"
+        assert callable(vars(owner)[attr])
+    else:
+        assert callable(getattr(owner, attr))
+
+
+def test_install_counts_calls_and_uninstall_restores():
+    import radform.cli  # noqa: F401  (loads every module the tracer patches)
+
+    original = vars(CycScalar)["__mul__"]
+    t = tracer.Tracer()
+    t.install()
+    try:
+        f = (MPoly.variable(2, 1) + root_of_unity(3, 3)) ** 2
+        _ = root_of_unity(3, 3) * root_of_unity(3, 3)
+    finally:
+        t.uninstall()
+    assert vars(CycScalar)["__mul__"] is original
+    calls = t.summary()["calls"]
+    assert calls["multipoly.MPoly.pow"] == 1
+    assert calls["multipoly.MPoly.mul"] >= 1
+    assert calls["cyclotomic.CycScalar.mul"] >= 1
+    assert t.summary()["counters"]["multipoly.coeff_bits.max"] >= 1
+    assert f.order == 3
+
+
+def test_terms_view_shape():
+    f = MPoly(2, {(1, 0): root_of_unity(3, 3), (0, 2): Fraction(-7, 2), (0, 0): 5})
+    view = f.terms
+    assert set(view) == {(1, 0), (0, 2), (0, 0)}
+    for exps, coeff in view.items():
+        assert isinstance(exps, tuple) and all(type(e) is int for e in exps)
+        assert isinstance(coeff, CycScalar) and coeff.order == f.order == 3
+        assert all(isinstance(c, Fraction) for c in coeff.coeffs)
+    assert view[(0, 2)].coeffs == (Fraction(-7, 2), 0)
+    assert tracer._coeff_bits(f) == 3
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 1
+    assert f.terms is not view

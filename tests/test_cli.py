@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -126,6 +127,27 @@ class TestSymmetrize:
         )
         assert code == 1
         assert "cap" in err
+
+    @pytest.mark.parametrize("command", [
+        ["symmetrize", "(x1+x2+x3+x4)^30"],
+        ["symmetrize", "(x1+x2+x3+x4)^30 - (x1+x2+x3+x4)^30 + x1+x2+x3+x4"],
+        ["character", "(x1+x2+x3+x4)^30", "2", "(1 2 3)"],
+    ])
+    def test_degree_cap_applies_before_expansion(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *command)
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "cap" in err
+
+    def test_exponent_overflow_is_one_line(self, capsys):
+        code, out, err = run(
+            capsys, "symmetrize", "x1^4294967296", "--max-degree", "9999999999"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "x1" in err
 
 
 class TestBuiltin:

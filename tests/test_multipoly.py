@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from radform.cyclotomic import CycScalar, root_of_unity
 from radform.multipoly import (
     ElemSymBasisExpr,
+    ExponentOverflowError,
     MPoly,
     NO_ROOT,
     NotSymmetricError,
@@ -66,6 +67,18 @@ def test_mixed_coefficient_orders_share_one_ambient_order():
     f = MPoly(1, {(1,): e3, (0,): Fraction(1, 2)})
     assert f.order == 3
     assert all(c.order == 3 for c in f.terms.values())
+
+
+def test_exponent_fields_never_carry():
+    big = x(3, 1) ** (2 ** 20)
+    square = big * big
+    assert list(square.terms) == [(2 ** 21, 0, 0)]
+    assert square.total_degree() == 2 ** 21
+    half = x(3, 2) ** (2 ** 31)
+    with pytest.raises(ExponentOverflowError, match="x2"):
+        half * half
+    with pytest.raises(ExponentOverflowError, match="x1"):
+        MPoly(2, {(2 ** 32, 0): 1})
 
 
 def test_scalar_coercion_in_operators():

@@ -239,6 +239,19 @@ class TestInverse:
         e = y2 + 1
         assert e * e.inverse() == spec.one(2)
 
+    def test_rational_inverse_coordinates_have_order_one(self):
+        # the conjugate product runs over Q(w_3), but the inverse of an
+        # element with rational coordinates has rational coordinates
+        s1, s2 = sigma(2, 1), sigma(2, 2)
+        spec = TowerSpec(2)
+        spec.add_level(3, spec.from_sigma_poly(s1 ** 2 - 4 * s2), ATTESTED_ASSERTED)
+        y1 = spec.generator(1)
+        e = spec.from_sigma_poly(s1) + spec.from_sigma_poly(s2 + 1) * y1 + 2 * y1 ** 2
+        inverse = e.inverse()
+        assert e * inverse == spec.one(1)
+        for coord in inverse.coords:
+            assert (coord.ratfunc.num.order, coord.ratfunc.den.order) == (1, 1)
+
 
 # ---------------------------------------------------------------------------
 # conjugation
