@@ -79,7 +79,7 @@ def _shift(nvars, index):
     return FIELD_BITS * (nvars - index + 1)
 
 
-def _pack(exps, nvars) -> int:
+def _pack(exps) -> int:
     key = sum(exps)
     for i, e in enumerate(exps, start=1):
         if e > FIELD_MASK:
@@ -164,7 +164,7 @@ class MPoly:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
             c_order, c_terms = _scalar_terms(coeff)
-            staged.append((_pack(exps, nvars), c_order, c_terms))
+            staged.append((_pack(exps), c_order, c_terms))
             order = math.lcm(order, c_order)
         packed = {}
         for key, c_order, c_terms in staged:
@@ -551,7 +551,7 @@ def symmetrize(f: MPoly) -> ElemSymBasisExpr:
                 f"leading exponents {exps} of a symmetric polynomial not sorted"
             )
         powers = [a - b for a, b in zip(exps, exps[1:] + (0,))]
-        key = _pack(powers, n)
+        key = _pack(powers)
         sigma = sigma + _make(n, remainder.order, {key + w: c for w, c in ws.items()})
         expansion = _make(n, remainder.order, ws)
         for i, p in enumerate(powers, start=1):
@@ -628,7 +628,7 @@ def kth_root_poly(f: MPoly, k: int):
     lead_root = _fraction_kth_root(Fraction(ws[0]), k)
     if lead_root is UNDECIDED:
         return UNDECIDED
-    root_key = _pack([e // k for e in _exps(top, n)], n)
+    root_key = _pack([e // k for e in _exps(top, n)])
     g = _make(n, 1, {root_key: lead_root})
     denom_inv = 1 / (k * lead_root ** (k - 1))
     last = None
@@ -654,7 +654,7 @@ def _divide_lead(r: MPoly, key: int, scale):
     exps = [a - b for a, b in zip(_exps(top, n), _exps(key, n))]
     if any(e < 0 for e in exps):
         return None
-    t = _pack(exps, n)
+    t = _pack(exps)
     return _make(n, r.order, {t + w: c for w, c in ws.items()}) * scale
 
 
