@@ -3,9 +3,9 @@
 A polynomial is a list of coefficients, lowest degree first.  The
 coefficients may be any ring elements supporting + - * and truth-testing
 (false exactly for zero).  Two callers use it: the cyclotomic scalars,
-over Fractions, for reduction and for inverses by extended Euclid; and the
-tower's annihilation check, over tower elements, for division by a monic
-modulus.  Functions that must create fresh coefficients take the ring's
+over Fractions, for the cyclotomic polynomials and for inverses by
+extended Euclid; and the tower's annihilation check, over tower elements,
+for division by a monic modulus.  Functions that must create fresh coefficients take the ring's
 zero (and one) explicitly.
 
 The order of the ring operations is part of the contract: some callers
