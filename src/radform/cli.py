@@ -37,7 +37,7 @@ from radform.multipoly import ExponentOverflowError, symmetrize
 from radform.obstruction import run_ruffini
 from radform.permchar import Perm, character_of
 from radform.resolvent import abel_polynomialize, derive_witnesses
-from radform.tower import AttestationError, witness_check
+from radform.tower import ATTESTED_UNKNOWN, AttestationError, nonpower_check, witness_check
 
 DEFAULT_MAX_DEGREE = 24
 
@@ -81,6 +81,16 @@ def _read_document(path: str):
         return parse(handle.read())
 
 
+def _refuted_level1(document: FormalRadicalFormula) -> str | None:
+    """Why the document's level-1 nonpower attestation is false, if it is."""
+    spec = document.spec
+    if spec.s and spec.attestations[0] != ATTESTED_UNKNOWN:
+        result = nonpower_check(spec, 1)
+        if result.status == "refuted":
+            root = result.root.render()
+            return f"level 1: nonpower attestation refuted: p_0 = ({root})^{result.k}"
+
+
 def cmd_verify(config: CliConfig) -> int:
     document = _read_document(config.inputs[0])
     if isinstance(document, SolvabilityScheme):
@@ -93,6 +103,8 @@ def cmd_verify(config: CliConfig) -> int:
     if isinstance(document, PolyRadicalFormula):
         report = verify_poly_formula(document)
     else:
+        if refutation := _refuted_level1(document):
+            return _fail(refutation, 1)
         try:
             witnesses, notes = derive_witnesses(document)
         except ValueError as err:
@@ -176,6 +188,8 @@ def cmd_abelize(config: CliConfig) -> int:
     document = _read_document(config.inputs[0])
     if not isinstance(document, FormalRadicalFormula):
         return _fail("abelize needs a towerformula document", 2)
+    if refutation := _refuted_level1(document):
+        return _fail(refutation, 1)
     try:
         witnesses, notes = derive_witnesses(document)
         report = abel_polynomialize(document, witnesses)

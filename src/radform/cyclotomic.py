@@ -246,14 +246,22 @@ class CycScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
+        """x^-1 = adj(x) / N(x): adj(x) is the product of the conjugates
+        sigma_a(x), w -> w^a for the units a != 1 mod N, and the norm
+        N(x) = x * adj(x) is rational (Lang, Algebra, Ch. VI 5)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(w_N)")
-        g, s = upoly.ext_gcd(
-            self.coeffs, cyclotomic_poly(self.order), _F1, _F0, lambda c: 1 / c
-        )
-        if len(g) != 1:
-            raise AssertionError("cyclotomic polynomial split unexpectedly")
-        return CycScalar(self.order, [x / g[0] for x in s])
+        n, x = self.order, _sparse(self.coeffs)
+        if self.is_rational():
+            return CycScalar(n, (1 / self.coeffs[0],))
+        adj = {0: _F1}
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                adj = mul_terms(adj, reduce_phi({a * j % n: c for j, c in x.items()}, n), n)
+        norm = mul_terms(x, adj, n)
+        if any(c for j, c in norm.items() if j):
+            raise AssertionError("the norm of a cyclotomic scalar is not rational")
+        return CycScalar(n, [adj.get(j, _F0) / norm[0] for j in range(len(self.coeffs))])
 
     @coerced(_as_scalar)
     def __truediv__(self, other):

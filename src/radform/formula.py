@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 
 from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
-from radform.multipoly import MPoly, elem_sym, substitute, symmetrize
+from radform.multipoly import MPoly, _exps, _grouped, elem_sym, substitute, symmetrize
 from radform.cyclotomic import root_of_unity
 from radform.tower import (
     ATTESTED_ASSERTED,
@@ -460,9 +460,9 @@ def verify_poly_formula(formula: PolyRadicalFormula) -> WitnessReport:
 def _eval_in_tower(poly: MPoly, images, spec: TowerSpec, level: int):
     """Evaluate a placeholder polynomial on tower elements (1-based images)."""
     total = spec.zero(0)
-    for exps, coeff in poly.terms.items():
-        term = spec.scalar(coeff)
-        for var, e in enumerate(exps, start=1):
+    for key, ws in _grouped(poly._terms).items():
+        term = spec.scalar(poly._scalar(ws))
+        for var, e in enumerate(_exps(key, poly.nvars), start=1):
             if e:
                 term = term * images[var] ** e
         total = total + term

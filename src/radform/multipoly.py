@@ -331,8 +331,10 @@ class MPoly:
             if not other.is_constant():
                 return NotImplemented
             other = other.constant_value()
+        if isinstance(other, CycScalar) and other.is_rational():
+            other = other.coeffs[0]
         if isinstance(other, (int, Fraction)):
-            other = CycScalar.from_rational(other)
+            return self * (1 / Fraction(other))
         if not isinstance(other, CycScalar):
             return NotImplemented
         return self * other.inv()

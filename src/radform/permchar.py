@@ -17,7 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from radform.cyclotomic import CycScalar, root_of_unity
+from radform.cyclotomic import CycScalar, project, root_of_unity
 from radform.multipoly import MPoly, is_even_symmetric, permute_vars
 
 __all__ = [
@@ -102,10 +102,7 @@ class Perm:
         return compose(self, other)
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Perm(inv)
+        return Perm(_tuple_inverse(self.images))
 
     def cycles(self):
         """Disjoint cycles (fixed points omitted), each starting at its
@@ -169,7 +166,7 @@ def compose(a: Perm, b: Perm) -> Perm:
     """(a b)(i) = a(b(i)); degrees must agree."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return Perm(tuple(a.images[bi - 1] for bi in b.images))
+    return Perm(_tuple_compose(a.images, b.images))
 
 
 def an_generators(n: int) -> list[Perm]:
@@ -262,7 +259,8 @@ def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycSc
     Defined for nonzero f whose q-th power is invariant under even
     permutations, and for even alpha.  Existence and uniqueness follow
     from factoring f^q - (f(x_alpha))^q over the coefficient field; here
-    chi is read off the leading coefficients and then verified exactly.
+    chi is the w_q^m that carries the leading coefficient of f(x_alpha)
+    to that of f, so nothing is divided, and it is then verified exactly.
     """
     if f.is_zero():
         raise ValueError("character of the zero polynomial is undefined")
@@ -275,14 +273,18 @@ def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycSc
             f"f^{q} is not invariant under even permutations; no character exists"
         )
     moved = permute_vars(f, alpha)
-    exps, lead = f.leading_term()
-    moved_lead = moved.terms.get(exps)
-    if moved_lead is None:
+    top, lead = f._lead()
+    moved_lead = moved._ws(top)
+    if not moved_lead:
         raise ValueError("no character: leading supports differ")
-    chi = lead / moved_lead
-    if chi ** q != CycScalar.one() or f != chi * moved:
-        raise ValueError("no q-th root of unity relates f to its permuted copy")
-    return chi
+    if lead == moved_lead and f == moved:
+        return CycScalar.one(f.order)
+    lead, moved_lead = f._scalar(lead), f._scalar(moved_lead)
+    for m in range(1, q):
+        chi = project(root_of_unity(q, q) ** m, f.order)
+        if chi is not None and lead == chi * moved_lead and f == chi * moved:
+            return chi
+    raise ValueError("no q-th root of unity relates f to its permuted copy")
 
 
 @dataclass(frozen=True)
@@ -309,8 +311,12 @@ def build_character(f: MPoly, q: int) -> Character:
     property spot-checked on all pairwise generator products."""
     n = f.nvars
     gens = an_generators(n)
-    if not is_even_symmetric(f ** q):
-        raise ValueError(f"f^{q} is not invariant under even permutations")
+    ok, mover = is_even_symmetric(f ** q, witness=True)
+    if not ok:
+        raise ValueError(
+            f"f^{q} moves under the even permutation {mover}; no character "
+            "exists and the keeping-symmetry question does not arise"
+        )
     values = {g: character_of(f, q, g, check_pre=False) for g in gens}
     for g, h in itertools.product(gens, repeat=2):
         product_chi = character_of(f, q, g * h, check_pre=False)

@@ -3,20 +3,20 @@
 A polynomial is a list of coefficients, lowest degree first.  The
 coefficients may be any ring elements supporting + - * and truth-testing
 (false exactly for zero).  Two callers use it: the cyclotomic scalars,
-over Fractions, for the cyclotomic polynomials and for inverses by
-extended Euclid; and the tower's annihilation check, over tower elements,
-for division by a monic modulus.  Functions that must create fresh coefficients take the ring's
-zero (and one) explicitly.
+over Fractions, for the cyclotomic polynomials; and the tower's
+annihilation check, over tower elements, for division by a monic
+modulus.  Functions that must create fresh coefficients take the ring's
+zero explicitly.
 
 The order of the ring operations is part of the contract: some callers
 keep unreduced num/den representations that are rendered, so a zero
 coefficient is skipped only where the product is dropped (mul), never
-where a subtraction would rescale a denominator (sub, divmod).
+where a subtraction would rescale a denominator (divmod).
 """
 
 from __future__ import annotations
 
-__all__ = ["divmod", "ext_gcd", "mul", "sub", "trim"]
+__all__ = ["divmod", "mul", "trim"]
 
 
 def trim(p) -> list:
@@ -25,16 +25,6 @@ def trim(p) -> list:
     while n and not p[n - 1]:
         n -= 1
     return list(p[:n])
-
-
-def sub(p, q) -> list:
-    out = list(p)
-    for j, c in enumerate(q):
-        if j < len(out):
-            out[j] = out[j] - c
-        else:
-            out.append(-c)
-    return trim(out)
 
 
 def mul(p, q, zero) -> list:
@@ -71,18 +61,3 @@ def divmod(a, b, lead_inv, zero):
             rem[i + j] = rem[i + j] - q * cb
     return trim(quo), trim(rem)
 
-
-def ext_gcd(a, b, one, zero, inverse):
-    """(g, s) with s*a = g modulo b, g the last nonzero remainder of Euclid.
-
-    inverse(c) returns the field inverse of a nonzero coefficient; it is
-    not called for a divisor whose leading coefficient equals one.
-    """
-    r0, r1 = trim(a), trim(b)
-    s0, s1 = [one], []
-    while r1:
-        lead = r1[-1]
-        quo, rem = divmod(r0, r1, None if lead == one else inverse(lead), zero)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub(s0, mul(quo, s1, zero))
-    return r0, s0

@@ -17,6 +17,15 @@ from radform.cli import CliConfig, DEFAULT_MAX_DEGREE, main
 from radform.formula import parse
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+REFUTED_LEVEL1 = "level 1: nonpower attestation refuted: p_0 = (s1)^2\n"
+
+
+def false_level1_tower(tmp_path):
+    """fixtures/degree2.tower with p_0 = s1^2, a square, still attested."""
+    text = (FIXTURES / "degree2.tower").read_text()
+    path = tmp_path / "false_level1.tower"
+    path.write_text(text.replace("p 0 = s1^2 - 4*s2", "p 0 = s1^2"))
+    return path
 
 
 def run(capsys, *argv):
@@ -60,6 +69,11 @@ class TestVerify:
         assert first == second
 
 
+    def test_false_level1_attestation_is_refuted(self, capsys, tmp_path):
+        code, out, err = run(capsys, "verify", false_level1_tower(tmp_path))
+        assert (code, out, err) == (1, "", REFUTED_LEVEL1)
+
+
 class TestObstruct:
     def test_low_degree_refused(self, capsys):
         code, _, err = run(capsys, "obstruct", FIXTURES / "degree3.poly")
@@ -88,6 +102,24 @@ class TestCharacter:
             "chi((1 2 3)) = w(3)",
             "chi((1 3 2)) = w(3)^2",
         ]
+
+    def test_order_six_coefficients_print_w3(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "character", "w(6)*(x1 + w(3)*x2 + w(3)^2*x3)", "3", "(1 2 3)", "(1 3 2)",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "chi((1 2 3)) = w(3)",
+            "chi((1 3 2)) = w(3)^2",
+        ]
+
+    def test_order_twelve_coefficients_print_w3(self, capsys):
+        code, out, _ = run(
+            capsys, "character", "x1 + w(12)^4*x2 + w(12)^8*x3", "3", "(1 2 3)"
+        )
+        assert code == 0
+        assert out.splitlines() == ["chi((1 2 3)) = w(3)"]
 
     def test_symmetric_polynomial_is_trivial(self, capsys):
         code, out, _ = run(capsys, "character", "x1*x2*x3", "5", "(1 2 3)")
@@ -186,6 +218,10 @@ class TestAbelize:
         assert (document.n, document.s) == (3, 3)
         code, _, _ = run(capsys, "verify", out_path)
         assert code == 0
+
+    def test_false_level1_attestation_is_refuted(self, capsys, tmp_path):
+        code, out, err = run(capsys, "abelize", false_level1_tower(tmp_path))
+        assert (code, out, err) == (1, "", REFUTED_LEVEL1)
 
     def test_poly_input_rejected(self, capsys):
         code, _, err = run(capsys, "abelize", FIXTURES / "degree2.poly")

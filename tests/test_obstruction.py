@@ -16,6 +16,7 @@ Frozen oracles, worked out by hand before running the engine:
 """
 
 import random
+import re
 
 import pytest
 
@@ -88,6 +89,11 @@ class TestKeepingSymmetry:
             keeping_symmetry(elem_sym(5, 1), 4)
         with pytest.raises(ValueError, match="does not arise"):
             keeping_symmetry(MPoly.variable(5, 1), 2)
+
+    def test_moving_power_names_the_permutation(self):
+        x = [MPoly.variable(5, i) for i in range(1, 6)]
+        with pytest.raises(ValueError, match=re.escape("permutation (2, 4, 3, 1, 5)")):
+            keeping_symmetry(x[3] ** 2 + x[4], 2)
 
     def test_character_and_direct_check_agree(self):
         cases = [

@@ -13,8 +13,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize
 
-from radform import upoly
-from radform.cyclotomic import cyclotomic_poly, root_of_unity
+from radform.cyclotomic import CycScalar, cyclotomic_poly, root_of_unity
 from radform.multipoly import MPoly, permute_vars, substitute, symmetrize
 from radform.permchar import Perm, commutator_closure
 from radform.tower import ATTESTED_VERIFIED, TowerSpec, nonpower_check
@@ -36,25 +35,19 @@ def test_cyclotomic_poly_matches_sympy(order):
     assert list(cyclotomic_poly(order)) == from_sympy(expected)
 
 
-def _random_poly(rng, degree):
-    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(degree)]
-    return coeffs + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))]
-
-
-def test_ext_gcd_matches_sympy():
+def test_scalar_inverse_matches_sympy():
     rng = random.Random(20260)
-    zero, one = Fraction(0), Fraction(1)
-    for trial in range(60):
-        common = _random_poly(rng, rng.randint(0, 2))
-        a = upoly.mul(common, _random_poly(rng, rng.randint(0, 4)), zero)
-        b = upoly.mul(common, _random_poly(rng, rng.randint(1, 4)), zero)
-        g, s = upoly.ext_gcd(a, b, one, zero, lambda c: 1 / c)
-        _, rem = upoly.divmod(upoly.sub(upoly.mul(s, a, zero), g), b, 1 / b[-1], zero)
-        assert rem == [], trial
-        _, _, h = sympy.gcdex(to_sympy(a), to_sympy(b))
-        expected = from_sympy(h)
-        unit = g[-1] / expected[-1]
-        assert g == [unit * c for c in expected], trial
+    for order in range(1, 31):
+        phi = len(cyclotomic_poly(order)) - 1
+        modulus = to_sympy(list(cyclotomic_poly(order)))
+        for trial in range(4):
+            size = 1 if trial == 0 else phi
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
+            if not any(coeffs):
+                continue
+            got = CycScalar(order, coeffs).inv()
+            expected = from_sympy(sympy.invert(to_sympy(coeffs), modulus))
+            assert list(got.coeffs) == expected + [0] * (phi - len(expected)), (order, trial)
 
 
 def _random_generators(rng, degree):
