@@ -251,9 +251,9 @@ class CycScalar:
         N(x) = x * adj(x) is rational (Lang, Algebra, Ch. VI 5)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(w_N)")
-        n, x = self.order, _sparse(self.coeffs)
         if self.is_rational():
-            return CycScalar(n, (1 / self.coeffs[0],))
+            return CycScalar(self.order, (1 / self.coeffs[0],))
+        n, x = self.order, _sparse(self.coeffs)
         adj = {0: _F1}
         for a in range(2, n):
             if math.gcd(a, n) == 1:

@@ -60,4 +60,3 @@ def divmod(a, b, lead_inv, zero):
         for j, cb in enumerate(b):
             rem[i + j] = rem[i + j] - q * cb
     return trim(quo), trim(rem)
-
