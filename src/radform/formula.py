@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from math import prod
 
 from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
-from radform.multipoly import MPoly, _exps, _grouped, elem_sym, substitute, symmetrize
+from radform.multipoly import MPoly, _exps, _grouped, sigma_images, substitute, symmetrize
 from radform.cyclotomic import root_of_unity
 from radform.tower import (
     ATTESTED_ASSERTED,
@@ -37,7 +37,6 @@ from radform.tower import (
     WitnessReport,
     _is_prime,
     compatible,
-    leading_term_text,
 )
 
 __all__ = [
@@ -412,7 +411,7 @@ def serialize(obj) -> str:
 def level_substitution(formula, j):
     """ps[j] with sigma_i -> elem_sym and f_t -> witness_t, as an x-polynomial."""
     n = formula.n
-    images = {i: elem_sym(n, i) for i in range(1, n + 1)}
+    images = sigma_images(n)
     images.update({n + t: formula.witnesses[t - 1] for t in range(1, j + 1)})
     return substitute(formula.ps[j], images, out_nvars=n)
 
@@ -423,13 +422,10 @@ def chain_identity(formula, j):
     substituted ps[j-1]."""
     k = formula.ks[j - 1]
     radicand = level_substitution(formula, j - 1)
-    diff = radicand - formula.witnesses[j - 1] ** k
-    record = IdentityRecord(
-        name=f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
-        ok=diff.is_zero(),
-        detail="" if diff.is_zero() else leading_term_text(diff),
+    return radicand, IdentityRecord.of(
+        f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
+        radicand - formula.witnesses[j - 1] ** k,
     )
-    return radicand, record
 
 
 def verify_poly_formula(formula: PolyRadicalFormula) -> WitnessReport:
@@ -442,14 +438,9 @@ def verify_poly_formula(formula: PolyRadicalFormula) -> WitnessReport:
     """
     records = [chain_identity(formula, j)[1] for j in range(1, formula.s + 1)]
     x1 = MPoly.variable(formula.n, 1)
-    diff = level_substitution(formula, formula.s) - x1
-    records.append(
-        IdentityRecord(
-            name="x_1 = p_s(sigma, witnesses)",
-            ok=diff.is_zero(),
-            detail="" if diff.is_zero() else leading_term_text(diff),
-        )
-    )
+    records.append(IdentityRecord.of(
+        "x_1 = p_s(sigma, witnesses)", level_substitution(formula, formula.s) - x1
+    ))
     return WitnessReport(records=records)
 
 

@@ -13,10 +13,13 @@ orders of the non-rational coefficients, 1 if there are none.  The form
 is canonical, so structural equality is semantic equality.  `terms`
 rebuilds the {exponent tuple: CycScalar} view on every access.
 
-Beyond ring arithmetic this module carries the symmetric-function kit:
-elementary symmetric polynomials, invariance tests under the full and the
-even (alternating) symmetric group, rewriting symmetric polynomials in the
-elementary basis, and a three-valued exact k-th root extractor.
+Substitution expands by a multivariate Horner scheme.  Beyond ring
+arithmetic this module carries the symmetric-function kit: elementary
+symmetric polynomials, invariance tests under the full and the even
+(alternating) symmetric group, rewriting symmetric polynomials in the
+elementary basis (a leading-term loop over the partition-shaped terms
+only, driven by e-to-m transition counts), and a three-valued exact
+k-th root extractor.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ __all__ = [
     "is_symmetric",
     "kth_root_poly",
     "permute_vars",
+    "sigma_images",
     "substitute",
     "symmetrize",
 ]
@@ -391,7 +395,11 @@ def substitute(f: MPoly, images: dict, out_nvars: int | None = None) -> MPoly:
 
     Every variable occurring in f must be covered.  Non-MPoly images are
     treated as constants; out_nvars fixes the output arity when no image
-    is a polynomial.
+    is a polynomial.  Expansion is by a multivariate Horner scheme: f is
+    grouped by the exponent of the variable whose image has the lowest
+    degree, each group is expanded in the other variables, and the groups
+    are folded from the top degree down, so a partial sum is only ever
+    multiplied by a cached power of one image.
     """
     arities = {v.nvars for v in images.values() if isinstance(v, MPoly)}
     if len(arities) > 1:
@@ -406,17 +414,27 @@ def substitute(f: MPoly, images: dict, out_nvars: int | None = None) -> MPoly:
         k: v if isinstance(v, MPoly) else MPoly.constant(target, v)
         for k, v in images.items()
     }
+    order = sorted(f.support_vars(), key=lambda i: (prepared[i].total_degree(), i))
     powers = {}
-    total = MPoly.zero(target)
-    for key, ws in _grouped(f._terms).items():
-        term = _make(target, f.order, ws)
-        for i, e in enumerate(_exps(key, f.nvars), start=1):
-            if e:
-                if (i, e) not in powers:
-                    powers[i, e] = prepared[i] ** e
-                term = term * powers[i, e]
-        total = total + term
-    return total
+
+    def horner(terms, depth):
+        if depth == len(order):  # one term left, or none when f is zero
+            return _make(target, f.order, terms[0][1] if terms else {})
+        i, groups = order[depth], {}
+        for exps, ws in terms:
+            groups.setdefault(exps[i - 1], []).append((exps, ws))
+        degrees = sorted(groups, reverse=True)
+        acc = horner(groups[degrees[0]], depth + 1)
+        for high, low in zip(degrees, degrees[1:] + [0]):
+            if high > low:
+                if (i, high - low) not in powers:
+                    powers[i, high - low] = prepared[i] ** (high - low)
+                acc = acc * powers[i, high - low]
+                if low in groups:
+                    acc = acc + horner(groups[low], depth + 1)
+        return acc
+
+    return horner([(_exps(k, f.nvars), ws) for k, ws in _grouped(f._terms).items()], 0)
 
 
 def evaluate(f: MPoly, point) -> CycScalar:
@@ -500,6 +518,11 @@ def elem_sym(n: int, i: int) -> MPoly:
     })
 
 
+def sigma_images(n: int) -> dict:
+    """{i: elem_sym(n, i)} for i = 1..n: sigma_i as an x-polynomial."""
+    return {i: elem_sym(n, i) for i in range(1, n + 1)}
+
+
 class ElemSymBasisExpr:
     """A polynomial whose variables stand for sigma_1..sigma_n."""
 
@@ -514,8 +537,7 @@ class ElemSymBasisExpr:
     def expand(self) -> MPoly:
         """Substitute the actual elementary symmetric polynomials back in."""
         n = self.poly.nvars
-        images = {i: elem_sym(n, i) for i in range(1, n + 1)}
-        return substitute(self.poly, images, out_nvars=n)
+        return substitute(self.poly, sigma_images(n), out_nvars=n)
 
     def __eq__(self, other):
         if isinstance(other, ElemSymBasisExpr):
@@ -535,35 +557,64 @@ def symmetrize(f: MPoly) -> ElemSymBasisExpr:
 
     Classical leading-term reduction: strip the graded-lex leading term
     c * x^a (a is non-increasing for a symmetric polynomial) by subtracting
-    c * sigma_1^(a1-a2) * ... * sigma_n^(an), and iterate.  The result is
-    re-expanded and compared against the input before returning.
+    c * sigma_1^(a1-a2) * ... * sigma_n^(an), and iterate.  Once f is
+    known symmetric its terms of partition shape (non-increasing
+    exponents) determine it, so the loop keeps only those and subtracts
+    c times the e-to-m transition counts.  The result is re-expanded in
+    full and compared against the input before returning.
     """
     ok, t = is_symmetric(f, witness=True)
     if not ok:
         raise NotSymmetricError(
             f"not symmetric: transposition {t} changes the polynomial", witness=t
         )
-    n = f.nvars
-    sigma, remainder = MPoly.zero(n), f
+    n, phi = f.nvars, euler_phi(f.order)
+    remainder = {
+        k: c for k, c in f._terms.items()
+        if all(a >= b for a, b in itertools.pairwise(_exps(k, n)))
+    }
+    sigma = {}
     while remainder:
-        top, ws = remainder._lead()
+        top = max(remainder)
+        top -= top & FIELD_MASK
+        ws = {w: c for w in range(phi) if (c := remainder.get(top + w))}
         exps = _exps(top, n)
-        if any(a < b for a, b in zip(exps, exps[1:])):
-            raise AssertionError(
-                f"leading exponents {exps} of a symmetric polynomial not sorted"
-            )
         powers = [a - b for a, b in zip(exps, exps[1:] + (0,))]
-        key = _pack(powers)
-        sigma = sigma + _make(n, remainder.order, {key + w: c for w, c in ws.items()})
-        expansion = _make(n, remainder.order, ws)
-        for i, p in enumerate(powers, start=1):
-            if p:
-                expansion = expansion * elem_sym(n, i) ** p
-        remainder = remainder - expansion
-    result = ElemSymBasisExpr(sigma)
+        sigma.update({_pack(powers) + w: c for w, c in ws.items()})
+        for nu, count in _transition_counts(n, powers).items():
+            for w, c in ws.items():
+                remainder[nu + w] = remainder.get(nu + w, 0) - c * count
+        remainder = {k: c for k, c in remainder.items() if c}
+    result = ElemSymBasisExpr(_make(n, f.order, sigma))
     if result.expand() != f:
         raise AssertionError("symmetrization failed its own expansion check")
     return result
+
+
+def _transition_counts(n: int, powers) -> dict:
+    """{packed nu: coefficient of x^nu in sigma_1^p_1 * ... * sigma_n^p_n}
+    over the partitions nu.  It counts the 0/1 matrices with p_r rows of r
+    ones and column sums nu (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.6).  Rows are added one at a time; a state is a sorted
+    vector of column sums with the number of matrices whose column sums
+    sort to it, which covers every rearrangement of nu, hence the division.
+    """
+    states = {(0,) * n: 1}
+    for r in range(n, 0, -1):
+        rows = [tuple(int(j in c) for j in range(n)) for c in itertools.combinations(range(n), r)]
+        for _ in range(powers[r - 1]):
+            step = {}
+            for state, count in states.items():
+                for row in rows:
+                    new = tuple(sorted(map(int.__add__, state, row), reverse=True))
+                    step[new] = step.get(new, 0) + count
+            states = step
+    return {
+        _pack(nu): count * math.prod(
+            math.factorial(len(list(group))) for _, group in itertools.groupby(nu)
+        ) // math.factorial(n)
+        for nu, count in states.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -306,17 +306,19 @@ class Character:
         return out
 
 
-def build_character(f: MPoly, q: int) -> Character:
+def build_character(f: MPoly, q: int, check_pre: bool = True) -> Character:
     """Character of f on the generators (1 2 m), with the homomorphism
-    property spot-checked on all pairwise generator products."""
+    property spot-checked on all pairwise generator products.
+    check_pre=False skips the f^q test for a caller that has made it."""
     n = f.nvars
     gens = an_generators(n)
-    ok, mover = is_even_symmetric(f ** q, witness=True)
-    if not ok:
-        raise ValueError(
-            f"f^{q} moves under the even permutation {mover}; no character "
-            "exists and the keeping-symmetry question does not arise"
-        )
+    if check_pre:
+        ok, mover = is_even_symmetric(f ** q, witness=True)
+        if not ok:
+            raise ValueError(
+                f"f^{q} moves under the even permutation {mover}; no character "
+                "exists and the keeping-symmetry question does not arise"
+            )
     values = {g: character_of(f, q, g, check_pre=False) for g in gens}
     for g, h in itertools.product(gens, repeat=2):
         product_chi = character_of(f, q, g * h, check_pre=False)

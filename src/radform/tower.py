@@ -30,8 +30,8 @@ from radform.multipoly import (
     NO_ROOT,
     UNDECIDED,
     divide_exact,
-    elem_sym,
     kth_root_poly,
+    sigma_images,
     substitute,
 )
 
@@ -727,7 +727,7 @@ def expand_with_witnesses(e: TowerElem, witnesses) -> RatFunc:
     j-th witness polynomial."""
     n = e.spec.n
     if e.level == 0:
-        images = {i: elem_sym(n, i) for i in range(1, n + 1)}
+        images = sigma_images(n)
         num = substitute(e.payload.num, images, out_nvars=n)
         den = substitute(e.payload.den, images, out_nvars=n)
         if den.is_zero():
@@ -752,6 +752,12 @@ class IdentityRecord:
     name: str
     ok: bool
     detail: str = ""
+
+    @classmethod
+    def of(cls, name: str, diff: MPoly) -> "IdentityRecord":
+        """The record of the identity whose two sides differ by diff."""
+        ok = diff.is_zero()
+        return cls(name=name, ok=ok, detail="" if ok else leading_term_text(diff))
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"
@@ -802,27 +808,15 @@ def witness_check(
         k = spec.ks[j - 1]
         lhs = wrf ** k
         rhs = expand_with_witnesses(spec.ps[j - 1], witnesses)
-        ok = lhs == rhs
-        records.append(
-            IdentityRecord(
-                name=f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
-                ok=ok,
-                detail="" if ok else leading_term_text(
-                    lhs.num * rhs.den - rhs.num * lhs.den
-                ),
-            )
-        )
+        records.append(IdentityRecord.of(
+            f"witness_{j}^{k} = p_{j - 1}(sigma, witnesses)",
+            lhs.num * rhs.den - rhs.num * lhs.den,
+        ))
     if target is not None:
         x1 = RatFunc(MPoly.variable(n, 1))
         expanded = expand_with_witnesses(spec.lift(target, spec.s), witnesses)
-        ok = x1 == expanded
-        records.append(
-            IdentityRecord(
-                name="x_1 = target(sigma, witnesses)",
-                ok=ok,
-                detail="" if ok else leading_term_text(
-                    x1.num * expanded.den - expanded.num * x1.den
-                ),
-            )
-        )
+        records.append(IdentityRecord.of(
+            "x_1 = target(sigma, witnesses)",
+            x1.num * expanded.den - expanded.num * x1.den,
+        ))
     return WitnessReport(records=records)

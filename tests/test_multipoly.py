@@ -104,6 +104,15 @@ def test_substitute_requires_full_cover():
         substitute(f, {1: x(2, 1)})
 
 
+def test_substitute_rejects_conflicting_arities():
+    f = x(2, 1) + x(2, 2)
+    with pytest.raises(ValueError, match="disagree on variable count"):
+        substitute(f, {1: x(2, 1), 2: x(3, 1)})
+    with pytest.raises(ValueError, match="contradicts the polynomial images"):
+        substitute(f, {1: x(2, 1), 2: 5}, out_nvars=3)
+    assert substitute(f, {1: 2, 2: 3}, out_nvars=4) == MPoly.constant(4, 5)
+
+
 def test_evaluate_vandermonde_at_1_2_4():
     delta = vandermonde(3)
     assert evaluate(delta, [1, 2, 4]) == CycScalar.from_rational(-6)

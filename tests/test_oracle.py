@@ -14,7 +14,15 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize
 
 from radform.cyclotomic import CycScalar, cyclotomic_poly, root_of_unity
-from radform.multipoly import MPoly, permute_vars, substitute, symmetrize
+from radform.multipoly import (
+    MPoly,
+    _exps,
+    _transition_counts,
+    elem_sym,
+    permute_vars,
+    substitute,
+    symmetrize,
+)
 from radform.permchar import Perm, commutator_closure
 from radform.tower import ATTESTED_VERIFIED, TowerSpec, nonpower_check
 
@@ -203,12 +211,76 @@ def test_substitute_and_permute_match_sympy(with_w):
         assert _sym(permute_vars(f, alpha)) == expected, trial
 
 
+def _distinct_terms(rng, n, count, degree, with_w):
+    """A polynomial with exactly `count` terms of degree at most `degree`."""
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n) if sum(e) <= degree]
+    coeffs = [_coeff(rng, with_w) or 1 for _ in range(count)]
+    return MPoly(n, dict(zip(rng.sample(exps, count), coeffs)))
+
+
+def _term_count(poly):
+    return len(poly.terms)
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_horner_substitute_matches_sympy(with_w):
+    rng = random.Random(707 + with_w)
+    ys = sympy.symbols("y1:6")
+    for trial in range(6):
+        f = _distinct_terms(rng, 5, 15 + trial, 3, with_w)
+        images = {
+            1: _distinct_terms(rng, 3, 1, 2, with_w),
+            2: _distinct_terms(rng, 3, 3, 2, with_w),
+            3: _distinct_terms(rng, 3, 10, 2, with_w),
+            4: _coeff(rng, with_w),
+            5: MPoly.constant(3, _coeff(rng, with_w)),
+        }
+        assert _term_count(f) >= 15
+        assert [_term_count(images[i]) for i in (1, 2, 3)] == [1, 3, 10]
+        as_poly = {i: v if isinstance(v, MPoly) else MPoly.constant(3, v) for i, v in images.items()}
+        expr = _expr(f, ys).subs({ys[i - 1]: _expr(as_poly[i], XS) for i in images},
+                                 simultaneous=True)
+        expected = _reduced(sympy.Poly(sympy.expand(expr), *_gens(3), domain="QQ"), 3)
+        assert _sym(substitute(f, images)) == expected, trial
+        # every image a constant: the result has no variables at all
+        point = {i: _coeff(rng, with_w) for i in range(1, 6)}
+        value = _expr(f, ys).subs({ys[i - 1]: _expr(MPoly.constant(0, c), ()) for i, c in point.items()},
+                                  simultaneous=True)
+        got = substitute(f, point, out_nvars=0)
+        assert got.nvars == 0
+        assert _sym(got) == _reduced(sympy.Poly(sympy.expand(value), W, domain="QQ"), 0), trial
+
+
+def _sigma_powers(n, size):
+    """Every exponent vector p with sum(i * p_i) <= size: the partitions
+    with parts at most n, written as powers of sigma_1..sigma_n."""
+    for p in itertools.product(*(range(size // i + 1) for i in range(1, n + 1))):
+        if sum(i * e for i, e in enumerate(p, start=1)) <= size:
+            yield p
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_transition_counts_match_kernel_expansion(n):
+    sigmas = [elem_sym(n, i) for i in range(1, n + 1)]
+    for powers in _sigma_powers(n, 10):
+        product = MPoly.constant(n, 1)
+        for sigma, e in zip(sigmas, powers):
+            product = product * sigma ** e
+        expected = {
+            exps: coeff.coeffs[0]
+            for exps, coeff in product.terms.items()
+            if all(a >= b for a, b in zip(exps, exps[1:]))
+        }
+        got = {_exps(key, n): count for key, count in _transition_counts(n, powers).items()}
+        assert got == expected, powers
+
+
 # -- symmetrize against sympy.polys.polyfuncs.symmetrize ----------------------
 
 
-def _orbit_sum(rng, n):
+def _orbit_sum(rng, n, with_w=False, degree=3):
     """A random symmetric polynomial: the S_n-orbit sum of a few terms."""
-    seed = _random_mpoly(rng, n, False, terms=3, degree=3)
+    seed = _random_mpoly(rng, n, with_w, terms=3, degree=degree)
     total = MPoly.zero(n)
     for alpha in itertools.permutations(range(1, n + 1)):
         total = total + permute_vars(seed, alpha)
@@ -222,7 +294,7 @@ def _check_symmetrize(f):
     formal, rest, _ = sympy_symmetrize(_expr(f, xs), *xs, formal=True)
     assert rest == 0
     sigmas = sympy.symbols(f"s1:{n + 1}")
-    assert sympy.expand(_expr(ours, sigmas) - formal) == 0
+    assert sympy.rem(sympy.expand(_expr(ours, sigmas) - formal), W ** 2 + W + 1, W) == 0
 
 
 def test_symmetrize_matches_sympy():
@@ -237,3 +309,15 @@ def test_symmetrize_square_of_vandermonde_four():
         for j in range(i + 1, 5):
             delta = delta * (MPoly.variable(4, i) - MPoly.variable(4, j))
     _check_symmetrize(delta ** 2)
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_symmetrize_non_homogeneous_matches_sympy(with_w):
+    rng = random.Random(808 + with_w)
+    for trial in range(10):
+        n = rng.randint(2, 4)
+        f = _orbit_sum(rng, n, with_w) + _orbit_sum(rng, n, with_w, degree=5)
+        f = f + elem_sym(n, 1) + (_coeff(rng, with_w) or 1)
+        assert len({sum(exps) for exps in f.terms}) > 1, trial
+        assert f.order == (3 if with_w else 1), trial
+        _check_symmetrize(f)

@@ -42,3 +42,13 @@ def test_survey_character_tables():
     result = run_script(ROOT / "scripts" / "survey_characters.py")
     lines = [line.strip() for line in result.stdout.splitlines()]
     assert [l for l in lines if re.match(r"chi\(\([\d ]+\)\) = ", l)] == SURVEY_CHARACTERS
+
+
+def test_flagship_reports_times_and_peak_rss():
+    result = run_script(ROOT / "scripts" / "flagship.py")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "n = 5: sigma-form of the discriminant has 59 terms"
+    assert [line.split()[0] for line in lines[1:4]] == ["build_s", "refute_s", "peak_rss_mb"]
+    assert all(float(line.split()[1]) > 0 for line in lines[1:4])
+    assert lines[4] == "refuted: even-symmetry obstruction at the closing identity"
