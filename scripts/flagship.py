@@ -1,11 +1,12 @@
 """Build and refute the discriminant flagship at n roots, and time both.
 
-The candidate adjoins the square root of the discriminant: p_0 is the
-sigma-form of the squared Vandermonde product (symmetrize, with its full
-re-expansion self-check), the witness is the Vandermonde product itself,
-and p_1 = (sigma_1 + f_1) / 2.  This is the build the `diagnose`
-benchmark repeats at n = 5.  Prints the build and refute seconds, the
-size of the sigma-form and the process's peak resident set size.
+The candidate is radform.corpus.discriminant_formula(n), which adjoins
+the square root of the discriminant: p_0 is the sigma-form of the
+squared Vandermonde product (symmetrize, with its full re-expansion
+self-check), the witness is the Vandermonde product itself, and
+p_1 = (sigma_1 + f_1) / 2.  This is the build the `diagnose` benchmark
+repeats at n = 5.  Prints the build and refute seconds, the size of the
+sigma-form and the process's peak resident set size.
 
     PYTHONPATH=src python scripts/flagship.py --n 6
 """
@@ -15,9 +16,7 @@ import resource
 import sys
 import time
 
-from radform.corpus import vandermonde
-from radform.formula import PolyRadicalFormula
-from radform.multipoly import MPoly, symmetrize
+from radform.corpus import discriminant_formula
 from radform.obstruction import run_ruffini
 
 
@@ -30,17 +29,15 @@ def main():
         parser.error("the obstruction needs at least 5 roots")
 
     start = time.perf_counter()
-    delta = vandermonde(n)
-    p0 = symmetrize(delta ** 2).poly
+    candidate = discriminant_formula(n)
     built = time.perf_counter()
-    p1 = (MPoly.variable(n + 1, 1) + MPoly.variable(n + 1, n + 1)) / 2
-    report = run_ruffini(PolyRadicalFormula(n, 1, [2], [p0, p1], [delta]))
+    report = run_ruffini(candidate)
     refuted = time.perf_counter()
 
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     scale = 1 << 20 if sys.platform == "darwin" else 1 << 10
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
-    print(f"n = {n}: sigma-form of the discriminant has {len(p0.terms)} terms")
+    print(f"n = {n}: sigma-form of the discriminant has {len(candidate.ps[0].terms)} terms")
     print(f"build_s  {built - start:.3f}")
     print(f"refute_s {refuted - built:.3f}")
     print(f"peak_rss_mb {peak_mb:.1f}")

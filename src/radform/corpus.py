@@ -163,6 +163,14 @@ def adversarial_candidates() -> list:
     return out
 
 
+def discriminant_formula(n: int) -> PolyRadicalFormula:
+    """discriminant_candidate's formula for n roots instead of five."""
+    delta = vandermonde(n)
+    p0 = symmetrize(delta ** 2).poly
+    p1 = (MPoly.variable(n + 1, 1) + MPoly.variable(n + 1, n + 1)) / 2
+    return PolyRadicalFormula(n, 1, [2], [p0, p1], [delta])
+
+
 @functools.cache
 def discriminant_candidate():
     """The classical first move: adjoin the square root of the discriminant.
@@ -172,10 +180,4 @@ def discriminant_candidate():
     without being symmetric.  Slow to build (the symmetrization has 59
     terms), hence cached and kept out of the cheap corpus.
     """
-    delta = vandermonde(N)
-    p0 = symmetrize(delta ** 2).poly
-    p1 = (_sigma(1, 6) + _f(1, 6)) / 2
-    return (
-        "discriminant-root",
-        PolyRadicalFormula(N, 1, [2], [p0, p1], [delta]),
-    )
+    return "discriminant-root", discriminant_formula(N)

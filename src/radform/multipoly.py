@@ -17,8 +17,7 @@ Substitution expands by a multivariate Horner scheme.  Beyond ring
 arithmetic this module carries the symmetric-function kit: elementary
 symmetric polynomials, invariance tests under the full and the even
 (alternating) symmetric group, rewriting symmetric polynomials in the
-elementary basis (a leading-term loop over the partition-shaped terms
-only, driven by e-to-m transition counts), and a three-valued exact
+elementary basis by e-to-m transition counts, and a three-valued exact
 k-th root extractor.
 """
 

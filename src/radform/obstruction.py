@@ -82,7 +82,7 @@ class SymmetryVerdict:
         return "\n".join(self.lines())
 
 
-def keeping_symmetry(f: MPoly, q: int, check_pre: bool = True) -> SymmetryVerdict:
+def keeping_symmetry(f: MPoly, q: int) -> SymmetryVerdict:
     """Decide whether f inherits even-symmetry from its q-th power.
 
     Requires nonzero f with f^q invariant under even permutations and q
@@ -90,14 +90,13 @@ def keeping_symmetry(f: MPoly, q: int, check_pre: bool = True) -> SymmetryVerdic
     by the character route and confirmed by the direct generator check.
     Below five variables both outcomes occur; the cubic resolvent
     x1 + w*x2 + w^2*x3 with q = 3 is the classical counterexample.
-    check_pre=False skips the f^q test for a caller that has made it.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no symmetry character")
     if not _is_prime(q):
         raise ValueError(f"radical exponent {q} must be prime here")
     n = f.nvars
-    character = build_character(f, q, check_pre)
+    character = build_character(f, q)
     certified = is_even_symmetric(f)
     if character.is_trivial() != certified:
         raise AssertionError(
@@ -262,8 +261,7 @@ def run_ruffini(candidate: PolyRadicalFormula) -> ObstructionReport:
             entry.note = "witness is identically zero, trivially invariant"
             entry.verdict = "symmetry kept"
         else:
-            # the identity makes radicand == witness^k, tested just above
-            entry.symmetry = keeping_symmetry(witness, k, check_pre=False)
+            entry.symmetry = keeping_symmetry(witness, k)
             entry.verdict = "symmetry kept"
         report.entries.append(entry)
     final = level_substitution(formula, s)

@@ -306,27 +306,28 @@ class Character:
         return out
 
 
-def build_character(f: MPoly, q: int, check_pre: bool = True) -> Character:
+def build_character(f: MPoly, q: int) -> Character:
     """Character of f on the generators (1 2 m), with the homomorphism
-    property spot-checked on all pairwise generator products.
-    check_pre=False skips the f^q test for a caller that has made it."""
-    n = f.nvars
-    gens = an_generators(n)
-    if check_pre:
-        ok, mover = is_even_symmetric(f ** q, witness=True)
-        if not ok:
+    property spot-checked on all pairwise generator products.  f^q is fixed
+    by g iff f(x_g) = zeta * f with zeta a q-th root of unity in f's field."""
+    if f.is_zero():
+        raise ValueError("character of the zero polynomial is undefined")
+    values = {}
+    for g in an_generators(f.nvars):
+        try:
+            values[g] = character_of(f, q, g, check_pre=False)
+        except ValueError:
             raise ValueError(
-                f"f^{q} moves under the even permutation {mover}; no character "
+                f"f^{q} moves under the even permutation {g.images}; no character "
                 "exists and the keeping-symmetry question does not arise"
-            )
-    values = {g: character_of(f, q, g, check_pre=False) for g in gens}
-    for g, h in itertools.product(gens, repeat=2):
+            ) from None
+    for g, h in itertools.product(values, repeat=2):
         product_chi = character_of(f, q, g * h, check_pre=False)
         if product_chi != values[g] * values[h]:
             raise AssertionError(
                 f"character is not multiplicative on {g} * {h}"
             )
-    return Character(n=n, q=q, values=values, source=f)
+    return Character(n=f.nvars, q=q, values=values, source=f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -175,6 +176,37 @@ def test_build_character_homomorphism_checked():
     assert ch.values[cyc(3, 1, 2, 3)] == root_of_unity(3, 3)
     delta = vandermonde(5)
     assert build_character(delta, 2).is_trivial()
+
+
+def test_build_character_fails_exactly_when_the_power_moves():
+    # build_character finds the moving generator itself, without forming
+    # f^q; it must fail exactly where is_even_symmetric(f^q) does, naming
+    # the same three-cycle
+    rng = random.Random(7)
+    e3 = root_of_unity(3, 3)
+    cases = [(_resolvent_poly_n3(), 3), (vandermonde(4), 2), (vandermonde(5), 2)]
+    for n in (3, 4):
+        x = [MPoly.variable(n, i) for i in range(1, n + 1)]
+        for q in (2, 3):
+            for _ in range(6):
+                f = MPoly.zero(n)
+                for _ in range(rng.randint(1, 3)):
+                    a, b = rng.sample(range(n), 2)
+                    f = f + rng.choice([1, -2, e3]) * x[a] * x[b] ** rng.randint(0, 2)
+                if not f.is_zero():
+                    cases.append((f, q))
+    moving = 0
+    for f, q in cases:
+        ok, mover = is_even_symmetric(f ** q, witness=True)
+        if ok:
+            build_character(f, q)
+        else:
+            moving += 1
+            with pytest.raises(ValueError, match=re.escape(f"permutation {mover};")):
+                build_character(f, q)
+    assert 0 < moving < len(cases)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        build_character(MPoly.zero(5), 2)
 
 
 def test_four_variable_resolvent_character():
