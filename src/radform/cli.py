@@ -142,6 +142,8 @@ def _unit_power(value, q: int) -> str:
 
 
 def cmd_character(config: CliConfig, expr: str, q: int, perms) -> int:
+    if q < 1:
+        return _fail(f"q must be a positive integer, got {q}", 2)
     n = max(max_name_index(expr, "x"), 1)
     for text in perms:
         for digits in re.findall(r"\d+", text):

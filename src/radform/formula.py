@@ -411,7 +411,7 @@ def serialize(obj) -> str:
 def level_substitution(formula, j):
     """ps[j] with sigma_i -> elem_sym and f_t -> witness_t, as an x-polynomial."""
     n = formula.n
-    images = sigma_images(n)
+    images = dict(sigma_images(n))
     images.update({n + t: formula.witnesses[t - 1] for t in range(1, j + 1)})
     return substitute(formula.ps[j], images, out_nvars=n)
 

@@ -1,10 +1,13 @@
 """Sparse multivariate polynomials over the cyclotomic-rational scalars.
 
 A polynomial in x_1..x_n over Q(w_N) is a dict from packed monomials to
-nonzero rationals (int or Fraction), with its variable count and order N.
-A packed monomial is one int of FIELD_BITS-wide fields: from the top, the
-total degree, the exponents of x_1..x_n, and the exponent of w_N, kept
-below phi(N) by cyclotomic.reduce_phi.  So graded-lex order (total degree,
+nonzero int numerators over one positive denominator coprime to them
+(zero has 1), with its variable count and order N: FLINT fmpq_mpoly's
+rational content over an integer polynomial, so arithmetic runs on ints
+and a Fraction appears only when a coefficient is read out.  A packed
+monomial is one int of FIELD_BITS-wide fields: from the top, the total
+degree, the exponents of x_1..x_n, and the exponent of w_N, kept below
+phi(N) by cyclotomic.reduce_phi.  So graded-lex order (total degree,
 then the exponent tuple; used everywhere) is int comparison, a monomial
 product is one int addition, and a coefficient is the set of keys that
 differ only in the w-field.  An exponent too large for its field raises
@@ -23,6 +26,7 @@ k-th root extractor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import types
@@ -96,19 +100,16 @@ def _exps(key, nvars) -> tuple:
     return tuple(key >> s & FIELD_MASK for s in range(FIELD_BITS * nvars, 0, -FIELD_BITS))
 
 
-def _num(c):
-    return c.numerator if c.denominator == 1 else c
-
-
 def _scalar_terms(value):
-    """(order, {w-exponent: coefficient}) of an int, Fraction or CycScalar."""
-    if isinstance(value, CycScalar):
-        if value.is_rational():
-            value = value.coeffs[0]
-        else:
-            return value.order, {j: _num(c) for j, c in enumerate(value.coeffs) if c}
+    """(order, {w-exponent: numerator}, denominator) of an int, Fraction or
+    CycScalar."""
     if isinstance(value, (int, Fraction)):
-        return 1, ({0: _num(value)} if value else {})
+        return 1, ({0: value.numerator} if value else {}), value.denominator
+    if isinstance(value, CycScalar):
+        den = math.lcm(*(c.denominator for c in value.coeffs))
+        return value.order, {
+            j: c.numerator * (den // c.denominator) for j, c in enumerate(value.coeffs) if c
+        }, den
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
@@ -130,18 +131,28 @@ def _grouped(terms):
     return groups
 
 
-def _make(nvars, order, terms, poly=None) -> "MPoly":
-    """The polynomial that takes ownership of the packed terms at `order`;
-    zero coefficients are dropped in place."""
+def _make(nvars, order, terms, den=1, poly=None) -> "MPoly":
+    """The polynomial terms / den (den > 0) owning `terms`: zero numerators
+    are dropped in place and a factor common to den and them divided out."""
     poly = object.__new__(MPoly) if poly is None else poly
     for k in [k for k, c in terms.items() if not c]:
         del terms[k]
+    if den > 1 and (g := math.gcd(den, *terms.values())) > 1:
+        den //= g
+        for k in terms:
+            terms[k] //= g
     if order > 1 and not any(k & FIELD_MASK for k in terms):
         order = 1
     object.__setattr__(poly, "nvars", nvars)
     object.__setattr__(poly, "order", order)
     object.__setattr__(poly, "_terms", terms)
+    object.__setattr__(poly, "_den", den)
     return poly
+
+
+def _scaled(terms, factor):
+    """The numerator dict times an integer (the dict itself for 1)."""
+    return terms if factor == 1 else {k: c * factor for k, c in terms.items()}
 
 
 def _combine(p, q, sign):
@@ -156,24 +167,24 @@ def _combine(p, q, sign):
 class MPoly:
     """Polynomial in nvars variables with exact cyclotomic coefficients."""
 
-    __slots__ = ("nvars", "order", "_terms")
+    __slots__ = ("nvars", "order", "_terms", "_den")
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        order, staged = 1, []
+        order, den, staged = 1, 1, []
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-            c_order, c_terms = _scalar_terms(coeff)
-            staged.append((_pack(exps), c_order, c_terms))
-            order = math.lcm(order, c_order)
+            c_order, c_terms, c_den = _scalar_terms(coeff)
+            staged.append((_pack(exps), c_order, c_terms, c_den))
+            order, den = math.lcm(order, c_order), math.lcm(den, c_den)
         packed = {}
-        for key, c_order, c_terms in staged:
+        for key, c_order, c_terms, c_den in staged:
             for w, c in _lift(c_terms, c_order, order).items():
-                packed[key + w] = packed.get(key + w, 0) + c
-        _make(nvars, order, packed, self)
+                packed[key + w] = packed.get(key + w, 0) + c * (den // c_den)
+        _make(nvars, order, packed, den, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -187,7 +198,9 @@ class MPoly:
         })
 
     def _scalar(self, ws) -> CycScalar:
-        return CycScalar(self.order, [ws.get(j, 0) for j in range(euler_phi(self.order))])
+        """The coefficient with the numerators {w-exponent: numerator}."""
+        phi, den = euler_phi(self.order), self._den
+        return CycScalar(self.order, [Fraction(ws.get(j, 0), den) for j in range(phi)])
 
     # -- constructors ------------------------------------------------------
 
@@ -267,7 +280,7 @@ class MPoly:
         return _make(nvars, self.order, {
             (k - (k & FIELD_MASK) << up) + (k & FIELD_MASK): c
             for k, c in self._terms.items()
-        })
+        }, self._den)
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -289,22 +302,29 @@ class MPoly:
         m = math.lcm(self.order, other.order)
         return _lift(self._terms, self.order, m), _lift(other._terms, other.order, m), m
 
+    def _summands(self, other):
+        """Both numerator dicts aligned and scaled to the lcm of the two
+        denominators, the order and that lcm."""
+        p, q, order = self._aligned(other)
+        den = math.lcm(self._den, other._den)
+        return _scaled(p, den // self._den), _scaled(q, den // other._den), order, den
+
     @coerced(_coerce)
     def __add__(self, other):
-        p, q, order = self._aligned(other)
+        p, q, order, den = self._summands(other)
         if len(p) < len(q):
             p, q = q, p
-        return _make(self.nvars, order, _combine(p, q, 1))
+        return _make(self.nvars, order, _combine(p, q, 1), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.nvars, self.order, {k: -c for k, c in self._terms.items()})
+        return _make(self.nvars, self.order, {k: -c for k, c in self._terms.items()}, self._den)
 
     @coerced(_coerce)
     def __sub__(self, other):
-        p, q, order = self._aligned(other)
-        return _make(self.nvars, order, _combine(p, q, -1))
+        p, q, order, den = self._summands(other)
+        return _make(self.nvars, order, _combine(p, q, -1), den)
 
     @coerced(_coerce)
     def __rsub__(self, other):
@@ -324,7 +344,7 @@ class MPoly:
             for i, (a, b) in enumerate(zip(*tops), start=1):
                 if a + b > FIELD_MASK:
                     raise ExponentOverflowError(i)
-        return _make(n, order, mul_terms(p, q, order))
+        return _make(n, order, mul_terms(p, q, order), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -355,7 +375,7 @@ class MPoly:
         if self.nvars != other.nvars:
             return False
         p, q, _ = self._aligned(other)
-        return p == q
+        return self._den == other._den and p == q
 
     # -- display -----------------------------------------------------------
 
@@ -433,7 +453,8 @@ def substitute(f: MPoly, images: dict, out_nvars: int | None = None) -> MPoly:
                     acc = acc + horner(groups[low], depth + 1)
         return acc
 
-    return horner([(_exps(k, f.nvars), ws) for k, ws in _grouped(f._terms).items()], 0)
+    out = horner([(_exps(k, f.nvars), ws) for k, ws in _grouped(f._terms).items()], 0)
+    return out if f._den == 1 else out * Fraction(1, f._den)
 
 
 def evaluate(f: MPoly, point) -> CycScalar:
@@ -468,7 +489,7 @@ def permute_vars(f: MPoly, alpha) -> MPoly:
         for src, dst in moves:
             new |= (k >> src & FIELD_MASK) << dst
         out[new] = c
-    return _make(n, f.order, out)
+    return _make(n, f.order, out, f._den)
 
 
 def _invariant(f, generators, witness):
@@ -517,9 +538,11 @@ def elem_sym(n: int, i: int) -> MPoly:
     })
 
 
-def sigma_images(n: int) -> dict:
-    """{i: elem_sym(n, i)} for i = 1..n: sigma_i as an x-polynomial."""
-    return {i: elem_sym(n, i) for i in range(1, n + 1)}
+@functools.cache
+def sigma_images(n: int) -> types.MappingProxyType:
+    """Read-only {i: elem_sym(n, i)} for i = 1..n, sigma_i as an
+    x-polynomial; built once per n."""
+    return types.MappingProxyType({i: elem_sym(n, i) for i in range(1, n + 1)})
 
 
 class ElemSymBasisExpr:
@@ -584,7 +607,7 @@ def symmetrize(f: MPoly) -> ElemSymBasisExpr:
             for w, c in ws.items():
                 remainder[nu + w] = remainder.get(nu + w, 0) - c * count
         remainder = {k: c for k, c in remainder.items() if c}
-    result = ElemSymBasisExpr(_make(n, f.order, sigma))
+    result = ElemSymBasisExpr(_make(n, f.order, sigma, f._den))
     if result.expand() != f:
         raise AssertionError("symmetrization failed its own expansion check")
     return result
@@ -677,11 +700,11 @@ def kth_root_poly(f: MPoly, k: int):
         return NO_ROOT
     if set(ws) != {0}:
         return UNDECIDED
-    lead_root = _fraction_kth_root(Fraction(ws[0]), k)
+    lead_root = _fraction_kth_root(Fraction(ws[0], f._den), k)
     if lead_root is UNDECIDED:
         return UNDECIDED
     root_key = _pack([e // k for e in _exps(top, n)])
-    g = _make(n, 1, {root_key: lead_root})
+    g = _make(n, 1, {root_key: lead_root.numerator}, lead_root.denominator)
     denom_inv = 1 / (k * lead_root ** (k - 1))
     last = None
     while True:
@@ -707,7 +730,7 @@ def _divide_lead(r: MPoly, key: int, scale):
     if any(e < 0 for e in exps):
         return None
     t = _pack(exps)
-    return _make(n, r.order, {t + w: c for w, c in ws.items()}) * scale
+    return _make(n, r.order, {t + w: c for w, c in ws.items()}, r._den) * scale
 
 
 def divide_exact(a: MPoly, b: MPoly) -> MPoly | None:

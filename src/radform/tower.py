@@ -504,9 +504,13 @@ class TowerElem:
         # a lifted lower-level element needs no k-fold norm
         if all(c.is_zero() for c in self.payload[1:]):
             return spec.lift(self.payload[0].inverse(), level)
-        others = conjugate(self, level, 1)
-        for m in range(2, spec.ks[level - 1]):
-            others = others * conjugate(self, level, m)
+        # P_m = sigma(a) * ... * sigma^m(a) along the bits of k - 1:
+        # P_2m = P_m * sigma^m(P_m) and P_(m+1) = P_m * sigma^(m+1)(a)
+        others, m = conjugate(self, level, 1), 1
+        for bit in bin(spec.ks[level - 1] - 1)[3:]:
+            others, m = others * conjugate(others, level, m), 2 * m
+            if bit == "1":
+                others, m = others * conjugate(self, level, m + 1), m + 1
         norm = (self * others).coords[0]
         if norm.is_zero():
             raise AttestationError(

@@ -136,6 +136,13 @@ class TestCharacter:
         assert code == 2
         assert "cycle" in err
 
+    @pytest.mark.parametrize("q", [["0"], ["--", "-1"]], ids=["zero", "negative"])
+    def test_nonpositive_q_refused(self, capsys, q):
+        code, out, err = run(capsys, "character", "x1*x2*x3", *q, "(1 2 3)")
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == [f"q must be a positive integer, got {q[-1]}"]
+
 
 class TestSymmetrize:
     def test_power_sum(self, capsys):

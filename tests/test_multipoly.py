@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -318,3 +319,47 @@ def _all_perms(n):
     import itertools
 
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+
+
+# -- the integer-numerator layout -------------------------------------------
+
+
+@st.composite
+def rational_polys(draw):
+    """Polynomials with mixed denominators and, at times, w(3) coefficients."""
+    nvars = draw(st.integers(min_value=1, max_value=3))
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=3)) for _ in range(nvars))
+        coeff = draw(fractions)
+        if draw(st.booleans()):
+            coeff = coeff + draw(fractions) * root_of_unity(3, 3)
+        terms[exps] = coeff
+    return MPoly(nvars, terms)
+
+
+def _assert_canonical(p):
+    """A positive denominator coprime to the numerators, 1 for zero."""
+    assert p._den > 0
+    assert math.gcd(p._den, *p._terms.values()) == 1
+    assert all(p._terms.values())
+    if p.is_zero():
+        assert p._den == 1
+
+
+def _same(p, q):
+    """Structural equality: one packed layout, one denominator."""
+    return (p.nvars, p.order, p._terms, p._den) == (q.nvars, q.order, q._terms, q._den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_polys(), rational_polys())
+def test_rational_coefficients_stay_canonical(p, q):
+    p, q, _ = _same_arity(p, q, q)
+    results = [p, q, p + q, p - q, p * q, -p, p - p, p ** 2, p / Fraction(5, 2),
+               permute_vars(p, tuple(range(p.nvars, 0, -1)))]
+    for r in results:
+        _assert_canonical(r)
+    assert _same(p * Fraction(2, 3) * Fraction(3, 2), p)
+    assert _same((p + q) - q, p)

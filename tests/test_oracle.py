@@ -15,10 +15,13 @@ from sympy.polys.polyfuncs import symmetrize as sympy_symmetrize
 
 from radform.cyclotomic import CycScalar, cyclotomic_poly, root_of_unity
 from radform.multipoly import (
+    NO_ROOT,
     MPoly,
     _exps,
     _transition_counts,
+    divide_exact,
     elem_sym,
+    kth_root_poly,
     permute_vars,
     substitute,
     symmetrize,
@@ -318,3 +321,78 @@ def test_symmetrize_non_homogeneous_matches_sympy(with_w):
         assert len({sum(exps) for exps in f.terms}) > 1, trial
         assert f.order == (3 if with_w else 1), trial
         _check_symmetrize(f)
+
+
+# -- the integer-numerator layout: mixed denominators ------------------------
+
+MIXED = (Fraction(1, 3), Fraction(3, 2), Fraction(5, 6), Fraction(-7, 4), Fraction(2))
+
+
+def _mixed_coeff(rng):
+    a = rng.choice(MIXED) * rng.choice((1, -1))
+    if rng.random() < 0.5:
+        return a
+    return a + rng.choice(MIXED) * root_of_unity(3, 3) ** rng.randint(1, 2)
+
+
+def _mixed_mpoly(rng, n, terms=4, degree=3):
+    """A nonzero polynomial whose coefficients mix denominators 1-6 and w(3)."""
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        out[tuple(rng.randint(0, degree) for _ in range(n))] = _mixed_coeff(rng)
+    return MPoly(n, out)
+
+
+def test_ring_operations_with_mixed_denominators_match_sympy():
+    rng = random.Random(909)
+    ys = sympy.symbols("y1:5")
+    for trial in range(20):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        f, g = _mixed_mpoly(rng, n), _mixed_mpoly(rng, n)
+        sf, sg = _sym(f), _sym(g)
+        assert _sym(f + g) == _reduced(sf + sg, n), trial
+        assert _sym(f - g) == _reduced(sf - sg, n), trial
+        assert _sym(f * g) == _reduced(sf * sg, n), trial
+        e = rng.randint(0, 3)
+        assert _sym(f ** e) == _reduced(sf ** e, n), trial
+        images = {i: _mixed_mpoly(rng, m, terms=3, degree=2) for i in range(1, n + 1)}
+        expr = _expr(f, ys).subs({ys[i - 1]: _expr(images[i], XS) for i in images},
+                                 simultaneous=True)
+        expected = _reduced(sympy.Poly(sympy.expand(expr), *_gens(m), domain="QQ"), m)
+        assert _sym(substitute(f, images, out_nvars=m)) == expected, trial
+        alpha = rng.sample(range(1, n + 1), n)
+        moved = _expr(f, [XS[alpha[i] - 1] for i in range(n)])
+        expected = _reduced(sympy.Poly(moved, *_gens(n), domain="QQ"), n)
+        assert _sym(permute_vars(f, alpha)) == expected, trial
+
+
+def test_division_and_roots_with_mixed_denominators_match_sympy():
+    rng = random.Random(910)
+    for trial in range(15):
+        n = rng.randint(1, 3)
+        f, g = _mixed_mpoly(rng, n), _mixed_mpoly(rng, n)
+        quotient = divide_exact(f * g, g)
+        assert quotient is not None and _sym(quotient) == _sym(f), trial
+        if not g.is_constant():
+            assert divide_exact(f * g + 1, g) is None, trial
+        # a rational leading coefficient with a rational square and cube root
+        top = MPoly.monomial(n, [4] * n, Fraction(64, 729))
+        h = top + f
+        for k in (2, 3):
+            root = kth_root_poly(h ** k, k)
+            assert isinstance(root, MPoly), (trial, k)
+            assert _reduced(_sym(root) ** k, n) == _reduced(_sym(h) ** k, n), (trial, k)
+            assert root in (h, -h), (trial, k)
+        x1 = MPoly.variable(n, 1)
+        assert kth_root_poly(x1 * h ** 2, 2) is NO_ROOT, trial
+
+
+def test_symmetrize_with_mixed_denominators_matches_sympy():
+    rng = random.Random(911)
+    for trial in range(8):
+        n = rng.randint(2, 4)
+        seed = _mixed_mpoly(rng, n, terms=3)
+        f = MPoly.zero(n)
+        for alpha in itertools.permutations(range(1, n + 1)):
+            f = f + permute_vars(seed, alpha)
+        _check_symmetrize(f + rng.choice(MIXED))
