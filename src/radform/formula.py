@@ -36,6 +36,7 @@ from radform.tower import (
     TowerSpec,
     WitnessReport,
     _is_prime,
+    _prime_factors,
     compatible,
 )
 
@@ -493,21 +494,6 @@ def vieta_convert(scheme: SolvabilityScheme) -> FormalRadicalFormula:
 # prime normalization of radical exponents
 
 
-def _prime_chain(k: int):
-    if k == 0:
-        raise ValueError("radical exponent 0 cannot be factored")
-    out = []
-    d = 2
-    while d * d <= k:
-        while k % d == 0:
-            out.append(d)
-            k //= d
-        d += 1
-    if k > 1:
-        out.append(k)
-    return out  # ascending; empty for k = 1
-
-
 def _drop_unit_level(n, s, ks, ps, witnesses):
     """Remove the first k_j = 1 level by inlining its defining polynomial."""
     j = next(i + 1 for i, k in enumerate(ks) if k == 1)
@@ -528,7 +514,7 @@ def _drop_unit_level(n, s, ks, ps, witnesses):
 
 
 def _expand_composite(n, s, ks, ps, witnesses):
-    chains = [_prime_chain(k) for k in ks]
+    chains = [_prime_factors(k) for k in ks]
     starts = [0]
     for chain in chains:
         starts.append(starts[-1] + len(chain))

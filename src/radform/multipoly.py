@@ -434,27 +434,30 @@ def substitute(f: MPoly, images: dict, out_nvars: int | None = None) -> MPoly:
         for k, v in images.items()
     }
     order = sorted(f.support_vars(), key=lambda i: (prepared[i].total_degree(), i))
-    powers = {}
-
-    def horner(terms, depth):
-        if depth == len(order):  # one term left, or none when f is zero
-            return _make(target, f.order, terms[0][1] if terms else {})
-        i, groups = order[depth], {}
-        for exps, ws in terms:
-            groups.setdefault(exps[i - 1], []).append((exps, ws))
-        degrees = sorted(groups, reverse=True)
-        acc = horner(groups[degrees[0]], depth + 1)
-        for high, low in zip(degrees, degrees[1:] + [0]):
-            if high > low:
-                if (i, high - low) not in powers:
-                    powers[i, high - low] = prepared[i] ** (high - low)
-                acc = acc * powers[i, high - low]
-                if low in groups:
-                    acc = acc + horner(groups[low], depth + 1)
-        return acc
-
-    out = horner([(_exps(k, f.nvars), ws) for k, ws in _grouped(f._terms).items()], 0)
+    terms = [(_exps(k, f.nvars), ws) for k, ws in _grouped(f._terms).items()]
+    out = _horner(terms, order, prepared, {}, (target, f.order))
     return out if f._den == 1 else out * Fraction(1, f._den)
+
+
+def _horner(terms, order, images, powers, shape):
+    """The Horner step of substitute: terms expanded in the variables of
+    order into a polynomial of shape (nvars, order), with powers caching
+    images[i] ** d under (i, d)."""
+    if not order:  # one term left, or none when f is zero
+        return _make(*shape, terms[0][1] if terms else {})
+    i, groups = order[0], {}
+    for exps, ws in terms:
+        groups.setdefault(exps[i - 1], []).append((exps, ws))
+    degrees = sorted(groups, reverse=True)
+    acc = _horner(groups[degrees[0]], order[1:], images, powers, shape)
+    for high, low in zip(degrees, degrees[1:] + [0]):
+        if high > low:
+            if (i, high - low) not in powers:
+                powers[i, high - low] = images[i] ** (high - low)
+            acc = acc * powers[i, high - low]
+            if low in groups:
+                acc = acc + _horner(groups[low], order[1:], images, powers, shape)
+    return acc
 
 
 def evaluate(f: MPoly, point) -> CycScalar:

@@ -21,8 +21,10 @@ introduced it.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from radform.cyclotomic import CycScalar, root_of_unity
 from radform.formula import FormalRadicalFormula
@@ -42,6 +44,7 @@ from radform.tower import (
     TowerElem,
     TowerSpec,
     WitnessReport,
+    _prime_factors,
     expand_with_witnesses,
     witness_check,
 )
@@ -470,29 +473,14 @@ def _scalar_kth_root(c: CycScalar, k: int):
     if k != 2:
         return None
     m = value.numerator * value.denominator
-    sign = -1 if m < 0 else 1
-    m = abs(m)
-    square, free = 1, 1
-    d = 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            square *= d
-            m //= d * d
-        if m % d == 0:
-            free *= d
-            m //= d
-        d += 1
-    free *= m
+    exponents = Counter(_prime_factors(abs(m)))
+    square = prod(p ** (e // 2) for p, e in exponents.items())
     mu = CycScalar.from_rational(Fraction(square, value.denominator))
-    if sign < 0:
+    if m < 0:
         mu = mu * root_of_unity(4, 4)
-    d = 2
-    while d <= free:
-        if free % d == 0:
-            mu = mu * _sqrt_prime(d)
-            free //= d
-        else:
-            d += 1
+    for p, e in exponents.items():
+        if e % 2:
+            mu = mu * _sqrt_prime(p)
     if mu ** k != c:
         raise AssertionError("assembled square root fails to square back")
     return mu
@@ -531,35 +519,35 @@ def derive_witnesses(formula: FormalRadicalFormula):
     target to expand to x_1.  Returns the witness list together with
     notes recording which unit was taken at each level.
     """
-    spec = formula.spec
-    n, s = spec.n, spec.s
-    x1 = RatFunc(MPoly.variable(n, 1))
-
-    def walk(j, wits, notes):
-        if j > s:
-            if expand_with_witnesses(formula.target, wits) == x1:
-                return wits, notes
-            return None
-        k = spec.ks[j - 1]
-        rho_x = expand_with_witnesses(spec.ps[j - 1], wits)
-        root = _seeded_root(rho_x.num * rho_x.den ** (k - 1), k)
-        if not isinstance(root, MPoly):
-            return None
-        eps = root_of_unity(k, k)
-        for t in range(k):
-            w = _as_witness(RatFunc(root * eps ** t, rho_x.den))
-            found = walk(
-                j + 1,
-                wits + [w],
-                notes + [f"level {j}: extracted root times w({k})^{t}"],
-            )
-            if found is not None:
-                return found
-        return None
-
-    found = walk(1, [], [])
+    found = _walk_witnesses(formula, [], [])
     if found is None:
         raise ValueError(
             "no polynomial witness assignment makes the target expand to x_1"
         )
     return found
+
+
+def _walk_witnesses(formula: FormalRadicalFormula, wits, notes):
+    """derive_witnesses above the len(wits) levels already assigned."""
+    spec, j = formula.spec, len(wits) + 1
+    if j > spec.s:
+        x1 = RatFunc(MPoly.variable(spec.n, 1))
+        if expand_with_witnesses(formula.target, wits) == x1:
+            return wits, notes
+        return None
+    k = spec.ks[j - 1]
+    rho_x = expand_with_witnesses(spec.ps[j - 1], wits)
+    root = _seeded_root(rho_x.num * rho_x.den ** (k - 1), k)
+    if not isinstance(root, MPoly):
+        return None
+    eps = root_of_unity(k, k)
+    for t in range(k):
+        w = _as_witness(RatFunc(root * eps ** t, rho_x.den))
+        found = _walk_witnesses(
+            formula,
+            wits + [w],
+            notes + [f"level {j}: extracted root times w({k})^{t}"],
+        )
+        if found is not None:
+            return found
+    return None

@@ -10,12 +10,17 @@ level j - 1, so everything reduces to exact polynomial arithmetic.
 Rational functions are kept as raw numerator/denominator pairs: equality
 goes through cross-multiplication and nothing ever computes a gcd.
 
+Division goes through the absolute norm: a^-1 = adj(a) / N(a), where
+adj(a) multiplies the nontrivial conjugates of a level by level down the
+tower and N(a) = a * adj(a) lies in F_0.  Everything up to the one
+division by N(a) is polynomial, and so is the self-check a * adj(a) == N(a).
+
 Whether each quotient is really a field depends on p_(j-1) not being a
 k_j-th power one level down.  That fact is tracked per level as a
 three-valued attestation (verified / asserted / unknown); division refuses
 to run on unknown levels, and a falsely attested level is detected when
 an inverse meets an element whose norm (the product of its conjugates)
-is zero.
+is zero at some level.
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from radform import upoly
-from radform.cyclotomic import CycScalar, root_of_unity
+from radform.cyclotomic import CycScalar, power, root_of_unity
 from radform.multipoly import (
     MPoly,
     NO_ROOT,
     UNDECIDED,
+    _fraction_kth_root,
     divide_exact,
     kth_root_poly,
     sigma_images,
@@ -63,15 +69,20 @@ class AttestationError(RuntimeError):
     """Division needed a nonpower attestation that is missing or false."""
 
 
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    d = 2
+def _prime_factors(k: int) -> list[int]:
+    """The prime factors of k in ascending order, with multiplicity; empty
+    for k < 2."""
+    out, d = [], 2
     while d * d <= k:
-        if k % d == 0:
-            return False
+        while k % d == 0:
+            out.append(d)
+            k //= d
         d += 1
-    return True
+    return out + [k] if k > 1 else out
+
+
+def _is_prime(k: int) -> bool:
+    return _prime_factors(k) == [k]
 
 
 class RatFunc:
@@ -451,17 +462,8 @@ class TowerElem:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.spec.one(self.level)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        base = self.inverse() if e < 0 else self
+        return power(base, abs(e), self.spec.one(self.level))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -482,45 +484,51 @@ class TowerElem:
         return a._same_payload(b)
 
     def inverse(self) -> "TowerElem":
-        """Multiplicative inverse as the conjugate product over the norm.
+        """Multiplicative inverse through the absolute norm: a^-1 = adj(a) / N(a).
 
-        With sigma: y -> w_k*y, a^-1 = prod_(m=1..k-1) sigma^m(a) / N(a),
-        where N(a) = prod_(m=0..k-1) sigma^m(a) is fixed by sigma and so
-        lives one level down.  Levels above 0 require a nonpower
-        attestation; N(a) = 0 means a is a zero divisor modulo y^k - rho,
-        which refutes the attestation and raises instead of returning
-        garbage.
+        At level j, with sigma: y_j -> w_k*y_j, the product of the k - 1
+        nontrivial conjugates of x times x is fixed by sigma and so lives
+        one level down.  Walking x down the tower that way multiplies the
+        conjugate products into adj(a) and leaves the absolute norm N(a)
+        at level 0 (transitivity of the norm), so the one division is by
+        N(a) at the end, after the fraction-free check a * adj(a) == N(a).
+        Every level walked requires a nonpower attestation; a zero norm
+        means x is a zero divisor modulo y_j^k - rho, which refutes the
+        attestation and raises instead of returning garbage.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower")
-        if self.level == 0:
-            return TowerElem(self.spec, 0, self.payload.inv())
-        spec, level = self.spec, self.level
-        att = spec.attestations[level - 1]
-        if att == ATTESTED_UNKNOWN:
-            raise AttestationError(
-                f"level {level} has no nonpower attestation; cannot divide"
-            )
-        # a lifted lower-level element needs no k-fold norm
-        if all(c.is_zero() for c in self.payload[1:]):
-            return spec.lift(self.payload[0].inverse(), level)
-        # P_m = sigma(a) * ... * sigma^m(a) along the bits of k - 1:
-        # P_2m = P_m * sigma^m(P_m) and P_(m+1) = P_m * sigma^(m+1)(a)
-        others, m = conjugate(self, level, 1), 1
-        for bit in bin(spec.ks[level - 1] - 1)[3:]:
-            others, m = others * conjugate(others, level, m), 2 * m
-            if bit == "1":
-                others, m = others * conjugate(self, level, m + 1), m + 1
-        norm = (self * others).coords[0]
-        if norm.is_zero():
-            raise AttestationError(
-                f"defining polynomial at level {level} is reducible; the "
-                f"nonpower attestation ({att}) is refuted"
-            )
-        result = others * norm.inverse()
-        if not (self * result == spec.one(level)):
+        # adj starts empty: a multiply by one costs 7% of a level-1 inverse
+        spec, x, adj = self.spec, self, None
+        while x.level:
+            level = x.level
+            att = spec.attestations[level - 1]
+            if att == ATTESTED_UNKNOWN:
+                raise AttestationError(
+                    f"level {level} has no nonpower attestation; cannot divide"
+                )
+            # a lifted lower-level element needs no k-fold norm
+            if all(c.is_zero() for c in x.payload[1:]):
+                x = x.payload[0]
+                continue
+            # P_m = sigma(x) * ... * sigma^m(x) along the bits of k - 1:
+            # P_2m = P_m * sigma^m(P_m) and P_(m+1) = P_m * sigma^(m+1)(x)
+            others, m = conjugate(x, level, 1), 1
+            for bit in bin(spec.ks[level - 1] - 1)[3:]:
+                others, m = others * conjugate(others, level, m), 2 * m
+                if bit == "1":
+                    others, m = others * conjugate(x, level, m + 1), m + 1
+            adj = others if adj is None else adj * others
+            x = (x * others).coords[0]
+            if x.is_zero():
+                raise AttestationError(
+                    f"defining polynomial at level {level} is reducible; the "
+                    f"nonpower attestation ({att}) is refuted"
+                )
+        adj = spec.lift(spec.one(0) if adj is None else adj, self.level)
+        if not (self * adj == x):
             raise AssertionError("inverse failed its own check")
-        return result
+        return adj * TowerElem(spec, 0, x.payload.inv())
 
     # -- display -----------------------------------------------------------
 
@@ -633,9 +641,11 @@ def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
         return NonpowerResult(level, k, "refuted", root, "explicit root found")
     flat = _constant_scalar(rho)
     if flat is not None:
-        root = _scalar_kth_root_elem(spec, level - 1, flat, k)
-        if root is not None:
-            return NonpowerResult(level, k, "refuted", root, "constant root")
+        root = _fraction_kth_root(flat, k)
+        if root is not UNDECIDED:
+            return NonpowerResult(
+                level, k, "refuted", spec.scalar(root, level - 1), "constant root"
+            )
     return NonpowerResult(
         level, k, "undecided",
         detail="no syntactic certificate for a nested radical level",
@@ -657,15 +667,6 @@ def _constant_scalar(e: TowerElem):
     if any(not c.is_zero() for c in e.payload[1:]):
         return None
     return head
-
-
-def _scalar_kth_root_elem(spec, level, value, k):
-    from radform.multipoly import _fraction_kth_root
-
-    root = _fraction_kth_root(value, k)
-    if root is UNDECIDED:
-        return None
-    return spec.scalar(root, level)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from radform.multipoly import (
     is_symmetric,
     kth_root_poly,
     permute_vars,
+    sigma_images,
     substitute,
     symmetrize,
 )
@@ -112,6 +114,19 @@ def test_substitute_rejects_conflicting_arities():
     with pytest.raises(ValueError, match="contradicts the polynomial images"):
         substitute(f, {1: x(2, 1), 2: 5}, out_nvars=3)
     assert substitute(f, {1: 2, 2: 3}, out_nvars=4) == MPoly.constant(4, 5)
+
+
+def test_substitute_leaves_no_reference_cycle():
+    f = (x(3, 1) + 2 * x(3, 2) - x(3, 3)) ** 3 + x(3, 1) * x(3, 2)
+    images = sigma_images(3)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            substitute(f, images)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_vandermonde_at_1_2_4():

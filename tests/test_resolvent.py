@@ -21,6 +21,8 @@ Frozen expectations, computed by hand before implementation:
   extractor reports UNDECIDED there and the seeded retry must finish.
 """
 
+import gc
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -402,6 +404,17 @@ class TestDeriveWitnesses:
         x1, x2 = MPoly.variable(2, 1), MPoly.variable(2, 2)
         assert wits == [x2 - x1]
         assert notes == ["level 1: extracted root times w(2)^1"]
+
+    def test_leaves_no_reference_cycle(self):
+        path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "degree3.tower"
+        formula = parse(path.read_text())
+        gc.collect()
+        gc.disable()
+        try:
+            derive_witnesses(formula)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_wrong_target_fails(self):
         formula = quad_formula()

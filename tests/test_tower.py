@@ -13,13 +13,17 @@ and are frozen here:
     then (s1 + y2 + y3)/3 expands to x1.
 """
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from radform.cyclotomic import root_of_unity
-from radform.multipoly import MPoly, elem_sym
+from radform.cyclotomic import CycScalar, root_of_unity
+from radform.dsl import TowerContext, parse_expression
+from radform.formula import parse
+from radform.multipoly import MPoly, elem_sym, evaluate, sigma_images
+from radform.resolvent import derive_witnesses
 from radform.tower import (
     ATTESTED_ASSERTED,
     ATTESTED_UNKNOWN,
@@ -33,6 +37,9 @@ from radform.tower import (
     nonpower_check,
     witness_check,
 )
+
+
+DEGREE3_TOWER = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "degree3.tower"
 
 
 def sigma(n, i):
@@ -227,6 +234,9 @@ class TestInverse:
         s3 = cubic.from_sigma_poly(sigma(3, 3))
         for e in (y2 ** 2 + y1, (s1 + y1) * y2 + 1, y2 * y3 + s3):
             assert e * e.inverse() == cubic.one(e.level)
+        lifted = cubic.lift(y1 + s1, 3)
+        assert lifted.inverse().level == 3
+        assert lifted * lifted.inverse() == cubic.one(3)
 
     def test_false_attestation_detected_at_level_two(self):
         # rho_1 = y1 * (s1^2 - 4*s2) = y1^3, so y2 - y1 is a zero divisor
@@ -238,6 +248,40 @@ class TestInverse:
             (y2 - y1).inverse()
         e = y2 + 1
         assert e * e.inverse() == spec.one(2)
+
+    def test_level_two_inverse_on_fixture_by_evaluation(self):
+        # checked at x = (2, 5, 11) by evaluation alone, with no tower product
+        formula = parse(DEGREE3_TOWER.read_text())
+        spec = formula.spec
+        e = parse_expression(
+            "(s1 + 2*y1) + (s2 - y1)*y2 + (s3 + 1)*y2^2", TowerContext(spec, spec.s)
+        )
+        point = (2, 5, 11)
+        sigmas = [evaluate(sigma_images(3)[i], point) for i in (1, 2, 3)]
+        witnesses, _ = derive_witnesses(formula)
+        ys = [evaluate(w, point) for w in witnesses]
+
+        def value(elem):
+            if elem.level == 0:
+                rf = elem.ratfunc
+                return evaluate(rf.num, sigmas) / evaluate(rf.den, sigmas)
+            y = ys[elem.level - 1]
+            return sum(
+                (value(c) * y ** m for m, c in enumerate(elem.coords)), CycScalar.zero()
+            )
+
+        assert value(e) * value(e.inverse()) == 1
+
+    def test_lower_level_attestation_gate(self):
+        # y1 + y2 has its level-2 norm at level 1, whose gate must hold too
+        text = DEGREE3_TOWER.read_text().replace("assert-nonpower 1\n", "")
+        spec = parse(text).spec
+        assert spec.attestations[0] == ATTESTED_UNKNOWN
+        e = parse_expression("y1 + y2", TowerContext(spec, spec.s))
+        with pytest.raises(
+            AttestationError, match="level 1 has no nonpower attestation"
+        ):
+            e.inverse()
 
     def test_rational_inverse_coordinates_have_order_one(self):
         # the conjugate product runs over Q(w_3), but the inverse of an
