@@ -87,12 +87,13 @@ def reduce_phi(terms: dict, order: int) -> dict:
     return terms
 
 
-def mul_terms(p: dict, q: dict, order: int) -> dict:
-    """Product of two packed term dicts in Q(w_order)[x], reduced by Phi_order.
+def mul_terms(p: dict, q: dict, order: int, acc=None) -> dict:
+    """Product of two packed term dicts in Q(w_order)[x], reduced by Phi_order,
+    and added into the dict acc (updated in place) when one is given.
     Coefficients that cancel to zero stay in the result."""
     if len(p) < len(q):
         p, q = q, p
-    acc = {}
+    acc = {} if acc is None else acc
     get = acc.get
     for k1, c1 in q.items():
         for k2, c2 in p.items():
@@ -123,15 +124,16 @@ def term_text(coeff: str, body: str) -> str:
 
 
 def power(base, exponent: int, one):
-    """base ** exponent by repeated squaring, for exponent >= 0."""
-    result = one
+    """base ** exponent by repeated squaring, for exponent >= 0; nothing is
+    multiplied by one, and one() is called only for exponent 0."""
+    result = None
     while exponent:
         if exponent & 1:
-            result = result * base
+            result = base if result is None else result * base
         exponent >>= 1
         if exponent:
             base = base * base
-    return result
+    return one() if result is None else result
 
 
 def coerced(coerce):
@@ -275,7 +277,7 @@ class CycScalar:
         if not isinstance(exponent, int):
             return NotImplemented
         base = self.inv() if exponent < 0 else self
-        return power(base, abs(exponent), CycScalar.one(base.order))
+        return power(base, abs(exponent), lambda: CycScalar.one(base.order))
 
     @coerced(_as_scalar)
     def __eq__(self, other):

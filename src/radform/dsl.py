@@ -15,8 +15,8 @@ Errors carry line and column positions for document-level diagnostics.
 
 from __future__ import annotations
 
+import collections
 import re
-from dataclasses import dataclass
 
 from radform.cyclotomic import root_of_unity
 from radform.multipoly import MPoly
@@ -44,12 +44,10 @@ class DslError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "INT" | "NAME" | "OP" | "END"
-    value: str
-    line: int
-    col: int
+Token = collections.namedtuple("Token", "kind value line col")
+Token.__doc__ = """One lexeme: its kind ("INT", "NAME", "OP" or "END"), its text and
+its 1-based line and column.  A named tuple: built at a tuple's cost,
+immutable, and compared and hashed by its four fields."""
 
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()=])")

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from math import prod
 
 from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
-from radform.multipoly import MPoly, _exps, _grouped, sigma_images, substitute, symmetrize
+from radform.multipoly import (
+    MPoly, _exps, _grouped, permute_vars, sigma_images, substitute, symmetrize,
+)
 from radform.cyclotomic import root_of_unity
 from radform.tower import (
     ATTESTED_ASSERTED,
@@ -522,11 +524,13 @@ def _expand_composite(n, s, ks, ps, witnesses):
     last = {i + 1: starts[i] + len(chains[i]) for i in range(s)}
 
     def remap(poly, old_j, avail):
+        """poly with z_i renamed to the last radical of its chain, in n + avail variables."""
         arity = n + avail
-        images = {var: MPoly.variable(arity, var) for var in range(1, n + 1)}
-        for i in range(1, old_j + 1):
-            images[n + i] = MPoly.variable(arity, n + last[i])
-        return substitute(poly, images, out_nvars=arity)
+        moved = [n + last[i] for i in range(1, old_j + 1)]
+        if poly.nvars == arity and moved == list(range(n + 1, arity + 1)):
+            return poly
+        unused = sorted(set(range(n + 1, arity + 1)) - set(moved))
+        return permute_vars(poly.pad_vars(arity), [*range(1, n + 1), *moved, *unused])
 
     new_ks = [q for chain in chains for q in chain]
     new_ps = []

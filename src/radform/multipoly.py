@@ -133,21 +133,38 @@ def _grouped(terms):
 
 def _make(nvars, order, terms, den=1, poly=None) -> "MPoly":
     """The polynomial terms / den (den > 0) owning `terms`: zero numerators
-    are dropped in place and a factor common to den and them divided out."""
-    poly = object.__new__(MPoly) if poly is None else poly
-    for k in [k for k, c in terms.items() if not c]:
-        del terms[k]
+    are dropped in place and a factor common to den and them divided out.
+    Every MPoly is built here, so a term is touched again only when there
+    is something to drop or divide, and the slots are set through their
+    descriptors (MPoly's own __setattr__ refuses)."""
+    poly = _new(MPoly) if poly is None else poly
+    if 0 in terms.values():
+        for k in [k for k, c in terms.items() if not c]:
+            del terms[k]
     if den > 1 and (g := math.gcd(den, *terms.values())) > 1:
         den //= g
         for k in terms:
             terms[k] //= g
     if order > 1 and not any(k & FIELD_MASK for k in terms):
         order = 1
-    object.__setattr__(poly, "nvars", nvars)
-    object.__setattr__(poly, "order", order)
-    object.__setattr__(poly, "_terms", terms)
-    object.__setattr__(poly, "_den", den)
+    _set_nvars(poly, nvars)
+    _set_order(poly, order)
+    _set_terms(poly, terms)
+    _set_den(poly, den)
     return poly
+
+
+def _check_fields(p, q, nvars):
+    """Raise ExponentOverflowError if an exponent of the product of the
+    nonempty term dicts p and q would not fit its field."""
+    degree = FIELD_BITS * (nvars + 1)
+    # no exponent exceeds the total degree, so the fields need checking
+    # one by one only when the two degrees add up past a field
+    if (max(p) >> degree) + (max(q) >> degree) > FIELD_MASK:
+        tops = [[max(e) for e in zip(*(_exps(k, nvars) for k in t))] for t in (p, q)]
+        for i, (a, b) in enumerate(zip(*tops), start=1):
+            if a + b > FIELD_MASK:
+                raise ExponentOverflowError(i)
 
 
 def _scaled(terms, factor):
@@ -335,16 +352,8 @@ class MPoly:
         p, q, order = self._aligned(other)
         if not p or not q:
             return MPoly.zero(self.nvars)
-        n = self.nvars
-        degree = FIELD_BITS * (n + 1)
-        # no exponent exceeds the total degree, so the fields need checking
-        # one by one only when the two degrees add up past a field
-        if (max(p) >> degree) + (max(q) >> degree) > FIELD_MASK:
-            tops = [[max(e) for e in zip(*(_exps(k, n) for k in t))] for t in (p, q)]
-            for i, (a, b) in enumerate(zip(*tops), start=1):
-                if a + b > FIELD_MASK:
-                    raise ExponentOverflowError(i)
-        return _make(n, order, mul_terms(p, q, order), self._den * other._den)
+        _check_fields(p, q, self.nvars)
+        return _make(self.nvars, order, mul_terms(p, q, order), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -365,7 +374,7 @@ class MPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        return power(self, exponent, MPoly.constant(self.nvars, 1))
+        return power(self, exponent, lambda: MPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycScalar)):
@@ -405,6 +414,12 @@ class MPoly:
         return join_terms(parts)
 
 
+_new = object.__new__
+_set_nvars, _set_order, _set_terms, _set_den = (
+    MPoly.__dict__[slot].__set__ for slot in MPoly.__slots__
+)
+
+
 # ---------------------------------------------------------------------------
 # substitution and evaluation
 
@@ -440,10 +455,10 @@ def substitute(f: MPoly, images: dict, out_nvars: int | None = None) -> MPoly:
 
 
 def _horner(terms, order, images, powers, shape):
-    """The Horner step of substitute: terms expanded in the variables of
+    """The Horner scheme of substitute: terms expanded in the variables of
     order into a polynomial of shape (nvars, order), with powers caching
     images[i] ** d under (i, d)."""
-    if not order:  # one term left, or none when f is zero
+    if not order or not terms:  # one term left, or none
         return _make(*shape, terms[0][1] if terms else {})
     i, groups = order[0], {}
     for exps, ws in terms:
@@ -454,10 +469,29 @@ def _horner(terms, order, images, powers, shape):
         if high > low:
             if (i, high - low) not in powers:
                 powers[i, high - low] = images[i] ** (high - low)
-            acc = acc * powers[i, high - low]
-            if low in groups:
-                acc = acc + _horner(groups[low], order[1:], images, powers, shape)
+            rest = _horner(groups.get(low, []), order[1:], images, powers, shape)
+            acc = _mul_add(acc, powers[i, high - low], rest)
     return acc
+
+
+def _mul_add(a, b, c):
+    """a * b + c (a Horner step) in one product loop and one _make: the
+    product accumulates into c's numerators, over lcm(den_a * den_b, den_c)
+    in the lcm of the orders.  Only a product of two non-rational factors
+    whose order does not divide c's goes through the operators: it may
+    fall into Q, and then the sum has c's order."""
+    p, q, order = a._aligned(b)
+    if not p or not q:
+        return c
+    if a.order > 1 and b.order > 1 and c.order > 1 and c.order % order:
+        return a * b + c
+    _check_fields(p, q, a.nvars)
+    m, den = math.lcm(order, c.order), math.lcm(a._den * b._den, c._den)
+    if len(p) > len(q):
+        p, q = q, p
+    p = _scaled(_lift(p, order, m), den // (a._den * b._den))
+    acc = {k: v * (den // c._den) for k, v in _lift(c._terms, c.order, m).items()}
+    return _make(a.nvars, m, mul_terms(p, _lift(q, order, m), m, acc), den)
 
 
 def evaluate(f: MPoly, point) -> CycScalar:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from radform import upoly
-from radform.cyclotomic import CycScalar, power, root_of_unity
+from radform.cyclotomic import CycScalar, power
 from radform.multipoly import (
     MPoly,
     NO_ROOT,
@@ -463,7 +463,7 @@ class TowerElem:
         if not isinstance(e, int):
             return NotImplemented
         base = self.inverse() if e < 0 else self
-        return power(base, abs(e), self.spec.one(self.level))
+        return power(base, abs(e), lambda: self.spec.one(self.level))
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -587,11 +587,8 @@ def conjugate(e: TowerElem, j: int, power: int) -> TowerElem:
             e.spec, e.level, tuple(conjugate(c, j, power) for c in e.payload)
         )
     k = e.spec.ks[j - 1]
-    eps = root_of_unity(k, k)
-    out = []
-    for m, c in enumerate(e.payload):
-        factor = eps ** ((power * m) % k)
-        out.append(_scale(c, factor) if m else c)
+    eps = [CycScalar(k, [0] * m + [1]) for m in range(k)]  # w_k^m, reduced
+    out = [_scale(c, eps[power * m % k]) if m else c for m, c in enumerate(e.payload)]
     return TowerElem(e.spec, j, tuple(out))
 
 

@@ -7,6 +7,7 @@ from radform.cyclotomic import root_of_unity
 from radform.dsl import (
     DslError,
     PolyContext,
+    Token,
     TowerContext,
     max_name_index,
     parse_expression,
@@ -43,6 +44,16 @@ class TestTokenizer:
         assert toks[0].col == 1
         assert toks[1].col == 4
         assert toks[-1].kind == "END"
+
+    def test_token_repr_equality_hash_and_immutability(self):
+        tok = tokenize("x1", line_no=3)[0]
+        assert repr(tok) == "Token(kind='NAME', value='x1', line=3, col=1)"
+        assert tok == Token("NAME", "x1", 3, 1)
+        assert tok != Token("NAME", "x1", 3, 2)
+        assert hash(tok) == hash(Token("NAME", "x1", 3, 1))
+        assert (tok.kind, tok.value, tok.line, tok.col) == ("NAME", "x1", 3, 1)
+        with pytest.raises(AttributeError):
+            tok.kind = "INT"
 
     def test_bad_character_position(self):
         with pytest.raises(DslError) as err:

@@ -18,9 +18,11 @@ Frozen oracles used below, computed by hand before these tests were run:
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from radform import formula as formula_module
 from radform.cyclotomic import root_of_unity
 from radform.dsl import DslError
 from radform.formula import (
@@ -249,7 +251,68 @@ class TestVietaConversion:
             vieta_convert(scheme)
 
 
+def _expand_composite_by_substitution(n, s, ks, ps, witnesses):
+    """The renaming of prime normalization written as a substitution of
+    variable images: an independent oracle for formula._expand_composite."""
+    chains = [formula_module._prime_factors(k) for k in ks]
+    starts = [0]
+    for chain in chains:
+        starts.append(starts[-1] + len(chain))
+    last = {i + 1: starts[i] + len(chains[i]) for i in range(s)}
+
+    def remap(poly, old_j, avail):
+        images = {v: var(n + avail, v) for v in range(1, n + 1)}
+        images.update({n + i: var(n + avail, n + last[i]) for i in range(1, old_j + 1)})
+        return substitute(poly, images, out_nvars=n + avail)
+
+    new_ps, new_witnesses = [], []
+    for i, chain in enumerate(chains, start=1):
+        new_ps.append(remap(ps[i - 1], i - 1, starts[i - 1]))
+        new_ps.extend(var(n + starts[i - 1] + t - 1, n + starts[i - 1] + t - 1)
+                      for t in range(2, len(chain) + 1))
+        new_witnesses.extend(witnesses[i - 1] ** prod(chain[t:]) for t in range(1, len(chain) + 1))
+    new_ps.append(remap(ps[s], s, starts[-1]))
+    return n, starts[-1], [q for chain in chains for q in chain], new_ps, new_witnesses
+
+
+def _random_levels(rng, n, ks):
+    """ps[j] of arity n + j with w(3) and fractional coefficients, and witnesses."""
+    coeffs = [1, -2, Fraction(1, 3), root_of_unity(3, 3), Fraction(-5, 2)]
+    ps = [
+        MPoly(n + j, {tuple(rng.randint(0, 2) for _ in range(n + j)): rng.choice(coeffs)
+                      for _ in range(4)})
+        for j in range(len(ks) + 1)
+    ]
+    witnesses = [MPoly(n, {tuple(rng.randint(0, 1) for _ in range(n)): rng.choice(coeffs)})
+                 for _ in ks]
+    return ps, witnesses
+
+
 class TestFactorRadicals:
+    def test_renaming_matches_substitution_by_variable_images(self, monkeypatch):
+        rng = random.Random(1234)
+        ks = [1, 4, 6, 8, 9]
+        for trial in range(6):
+            order = rng.sample(ks, len(ks))
+            ps, witnesses = _random_levels(rng, 2, order)
+            formula = PolyRadicalFormula(2, len(ks), order, ps, witnesses)
+            got = factor_radicals(formula)
+            with monkeypatch.context() as patch:
+                patch.setattr(formula_module, "_expand_composite",
+                              _expand_composite_by_substitution)
+                want = factor_radicals(formula)
+            assert (got.s, got.ks) == (want.s, want.ks), trial
+            assert [p.nvars for p in got.ps] == [p.nvars for p in want.ps], trial
+            assert got.ps == want.ps and got.witnesses == want.witnesses, trial
+            assert [p.render() for p in got.ps] == [p.render() for p in want.ps], trial
+
+    def test_all_prime_exponents_keep_their_polynomials(self):
+        ps, witnesses = _random_levels(random.Random(5), 3, [2, 3, 5, 2])
+        formula = PolyRadicalFormula(3, 4, [2, 3, 5, 2], ps, witnesses)
+        out = factor_radicals(formula)
+        assert out.ks == [2, 3, 5, 2]
+        assert all(a is b for a, b in zip(out.ps, ps)) and len(out.ps) == len(ps)
+
     def test_prime_formula_unchanged(self):
         formula = builtin("degree2")
         assert factor_radicals(formula) == formula

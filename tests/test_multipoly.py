@@ -14,6 +14,7 @@ from radform.multipoly import (
     NO_ROOT,
     NotSymmetricError,
     UNDECIDED,
+    _mul_add,
     divide_exact,
     elem_sym,
     evaluate,
@@ -127,6 +128,40 @@ def test_substitute_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_horner_step_overflows_wherever_the_product_would():
+    top = 2 ** 32 - 1
+    cases = [((2 ** 31, 1), (2 ** 31, 0)), ((2 ** 31, 1), (2 ** 31 - 1, 0)),
+             ((top, 0), (0, 1)), ((0, top), (1, 1)), ((1, top), (top, 0)),
+             ((5, 2 ** 31), (0, 2 ** 31))]
+    raised = 0
+    for a_exps, b_exps in cases:
+        a = MPoly.monomial(2, a_exps, Fraction(1, 3)) + x(2, 2)
+        b = MPoly.monomial(2, b_exps, root_of_unity(3, 3)) + 1
+        c = x(2, 1) + Fraction(1, 2)
+        try:
+            expected = a * b + c
+        except ExponentOverflowError as err:
+            raised += 1
+            with pytest.raises(ExponentOverflowError, match=f"x{err.index}"):
+                _mul_add(a, b, c)
+        else:
+            assert _mul_add(a, b, c) == expected
+    assert raised == 4
+    # through substitute: the last step multiplies y^(2^31) by y^(2^31)
+    y = MPoly.monomial(1, (2 ** 31,))
+    with pytest.raises(ExponentOverflowError, match="x1"):
+        substitute(x(2, 1) * x(2, 2), {1: y, 2: y})
+    assert substitute(x(2, 1) * x(2, 2), {1: y, 2: x(1, 1)}) == y * x(1, 1)
+
+
+def test_substitute_keeps_the_order_of_a_sum_whose_product_falls_into_q():
+    w3, w5 = root_of_unity(3, 3), root_of_unity(5, 5)
+    y = x(1, 1)
+    g = substitute(x(2, 1) * x(2, 2) + w3, {1: w5 * y, 2: w5 ** 4 * y})
+    assert g.order == 3
+    assert g.render() == "x1^2 + w(3)"
 
 
 def test_evaluate_vandermonde_at_1_2_4():

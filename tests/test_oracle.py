@@ -251,6 +251,48 @@ def test_horner_substitute_matches_sympy(with_w):
         assert _sym(got) == _reduced(sympy.Poly(sympy.expand(value), W, domain="QQ"), 0), trial
 
 
+def _expr12(poly, symbols):
+    """poly as a sympy expression in the given symbols, with W for w_12:
+    a coefficient of order N (dividing 12) on the w_N basis becomes a
+    polynomial in W = w_12 with w_N = W^(12/N)."""
+    total, step = sympy.Integer(0), 12 // poly.order
+    for exps, coeff in poly.terms.items():
+        c = sum(sympy.Rational(p.numerator, p.denominator) * W ** (j * step)
+                for j, p in enumerate(coeff.coeffs))
+        total += c * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+    return total
+
+
+def _mod_phi12(expr, n):
+    gens = _gens(n)
+    return sympy.Poly(sympy.expand(expr), *gens, domain="QQ").rem(
+        sympy.Poly(W ** 4 - W ** 2 + 1, *gens, domain="QQ"))
+
+
+def test_horner_substitute_across_orders_and_denominators_matches_sympy():
+    """w(3) coefficients against w(4) images, and images over distinct
+    rational denominators, so every Horner step aligns orders and scales
+    to a common denominator."""
+    rng = random.Random(808)
+    ys = sympy.symbols("y1:5")
+    w4 = root_of_unity(4, 4)
+    for trial in range(8):
+        f = _distinct_terms(rng, 4, 8 + trial, 3, with_w=True)
+        images = {}
+        for i, den in zip(range(1, 5), (7, 11, 13, 17)):
+            exps = rng.sample(list(itertools.product(range(3), repeat=3)), 3)
+            image = MPoly(3, {e: rng.randint(1, 5) for e in exps[:rng.randint(1, 2)]})
+            if (i + trial) % 2:
+                image = image + MPoly(3, {exps[2]: w4 * rng.randint(1, 5)})
+            images[i] = image * Fraction(1, den)
+        assert sorted(images[i]._den for i in images) == [7, 11, 13, 17], trial
+        expr = _expr12(f, ys).subs({ys[i - 1]: _expr12(images[i], XS) for i in images},
+                                   simultaneous=True)
+        got = substitute(f, images)
+        assert 12 % got.order == 0, trial
+        assert _mod_phi12(_expr12(got, XS[:3]), 3) == _mod_phi12(expr, 3), trial
+
+
 def _sigma_powers(n, size):
     """Every exponent vector p with sum(i * p_i) <= size: the partitions
     with parts at most n, written as powers of sigma_1..sigma_n."""

@@ -222,6 +222,15 @@ def test_four_variable_resolvent_character():
     assert chi == e3 ** 2
 
 
+def test_commutator_closure_of_s4_generators_is_a4():
+    s4 = [Perm.from_cycles("(1 2)", 4), Perm.from_cycles("(1 2 3 4)", 4)]
+    a4 = commutator_closure(s4)
+    assert len(a4) == 12
+    assert all(p.is_even() for p in a4)
+    # A4 is not perfect: its own commutator subgroup is the Klein four-group
+    assert len(commutator_closure(sorted(a4, key=lambda p: p.images))) == 4
+
+
 # -- triviality certification ---------------------------------------------
 
 
@@ -245,6 +254,16 @@ def test_triviality_derivations_name_concrete_cycles():
     assert "(1 5 4 3 2)" in body  # the cycle (5 4 3 2 1), smallest entry first
     assert "hence chi((1 2 3)) = 1 * 1 = 1" in body
     assert "cube" not in body
+
+
+def test_each_report_is_fresh_with_the_same_lines():
+    first = verify_hom_trivial(6, 2)
+    first.derivations.append("appended by the caller")
+    second = verify_hom_trivial(6, 2)
+    assert second is not first and second.derivations is not first.derivations
+    assert second.derivations == first.derivations[:-1]
+    assert second.derivations[-1].startswith("all generators carry character 1")
+    assert sum("machine checked" in line for line in second.derivations) == 4
 
 
 def test_counterexample_below_five_variables():
