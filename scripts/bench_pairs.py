@@ -39,12 +39,14 @@ def run_once(rev, workload, seed, seconds):
             ["git", "-C", ROOT, "archive", rev], check=True, capture_output=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", tree], input=archive, check=True)
-        out = subprocess.run(
+        run = subprocess.run(
             [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
              "--seconds", str(seconds), "--trace", "0"],
-            cwd=tree, check=True, capture_output=True, text=True,
-        ).stdout
-    return json.loads(out.strip().splitlines()[-1])
+            cwd=tree, capture_output=True, text=True,
+        )
+    if run.returncode:
+        sys.exit(f"bench/run.py on {rev} exited {run.returncode}:\n{run.stderr}")
+    return json.loads(run.stdout.strip().splitlines()[-1])
 
 
 def summarize(runs, spec):
@@ -87,7 +89,7 @@ def main():
                         help="workload to run (repeatable; default all three)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed-base", type=int, default=0, help="seed of pair 0")
-    parser.add_argument("--seconds", type=float, default=20, help="--seconds of each run")
+    parser.add_argument("--seconds", type=int, default=20, help="--seconds of each run")
     args = parser.parse_args()
     if args.parent is None or args.change is None:
         parser.print_help()
