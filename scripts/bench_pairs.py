@@ -111,7 +111,7 @@ def main():
                 runs.append({"pair": i, "seed": seed, "side": side,
                              "attempted": line["attempted"], "failed": line["failed"],
                              "correct": line["correct"],
-                             **{m["name"]: line["metrics"][m["name"]] for m in spec}})
+                             **{m["name"]: line["metrics"][m["name"]]["value"] for m in spec}})
                 print(f"{workload} pair {i} {side}: attempted {line['attempted']}, "
                       f"failed {line['failed']}", file=sys.stderr, flush=True)
         result["end_to_end"][workload] = {"summary": summarize(runs, spec), "runs": runs}
