@@ -16,12 +16,13 @@ orders of the non-rational coefficients, 1 if there are none.  The form
 is canonical, so structural equality is semantic equality.  `terms`
 rebuilds the {exponent tuple: CycScalar} view on every access.
 
-Substitution expands by a multivariate Horner scheme.  Beyond ring
-arithmetic this module carries the symmetric-function kit: elementary
-symmetric polynomials, invariance tests under the full and the even
-(alternating) symmetric group, rewriting symmetric polynomials in the
-elementary basis by e-to-m transition counts, and a three-valued exact
-k-th root extractor.
+Substitution expands by a multivariate Horner scheme whose step
+acc * power + low is one product loop into low's numerators.  Beyond
+ring arithmetic this module carries the symmetric-function kit:
+elementary symmetric polynomials, invariance tests under the full and
+the even (alternating) symmetric group, rewriting symmetric polynomials
+in the elementary basis by e-to-m transition counts, and a three-valued
+exact k-th root extractor.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _make(nvars, order, terms, den=1, poly=None) -> "MPoly":
     Every MPoly is built here, so a term is touched again only when there
     is something to drop or divide, and the slots are set through their
     descriptors (MPoly's own __setattr__ refuses)."""
-    poly = _new(MPoly) if poly is None else poly
+    poly = object.__new__(MPoly) if poly is None else poly
     if 0 in terms.values():
         for k in [k for k, c in terms.items() if not c]:
             del terms[k]
@@ -414,10 +415,7 @@ class MPoly:
         return join_terms(parts)
 
 
-_new = object.__new__
-_set_nvars, _set_order, _set_terms, _set_den = (
-    MPoly.__dict__[slot].__set__ for slot in MPoly.__slots__
-)
+_set_nvars, _set_order, _set_terms, _set_den = (MPoly.__dict__[s].__set__ for s in MPoly.__slots__)
 
 
 # ---------------------------------------------------------------------------
