@@ -161,7 +161,7 @@ class CycScalar:
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(cs) > phi:
             reduced = reduce_phi(_sparse(cs), order)
             cs = [reduced.get(j, _F0) for j in range(phi)]
@@ -242,6 +242,8 @@ class CycScalar:
     @coerced(_as_scalar)
     def __mul__(self, other):
         a, b = self._common(other)
+        if a.order == 1:
+            return CycScalar(1, (a.coeffs[0] * b.coeffs[0],))
         product = mul_terms(_sparse(a.coeffs), _sparse(b.coeffs), a.order)
         return CycScalar(a.order, [product.get(j, _F0) for j in range(len(a.coeffs))])
 

@@ -50,28 +50,20 @@ its 1-based line and column.  A named tuple: built at a tuple's cost,
 immutable, and compared and hashed by its four fields."""
 
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()=])")
+# every non-space character starts a match, so finditer skips only spaces
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*/^()=])|(?P<BAD>\S))"
+)
 
 
 def tokenize(text: str, line_no: int = 1) -> list[Token]:
     """One line of input to a token list ending in an END marker."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise DslError(f"unexpected character {ch!r}", line_no, pos + 1)
-        if m.lastgroup == "int":
-            tokens.append(Token("INT", m.group(), line_no, pos + 1))
-        elif m.lastgroup == "name":
-            tokens.append(Token("NAME", m.group(), line_no, pos + 1))
-        else:
-            tokens.append(Token("OP", m.group(), line_no, pos + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise DslError(f"unexpected character {m[kind]!r}", line_no, m.start(kind) + 1)
+        tokens.append(Token(kind, m[kind], line_no, m.start(kind) + 1))
     tokens.append(Token("END", "", line_no, len(text) + 1))
     return tokens
 
@@ -99,6 +91,7 @@ class PolyContext:
         self.nvars = nvars
         self.var_map = var_map
         self.where = where
+        self._variables = {name: MPoly.variable(nvars, i) for name, i in var_map.items()}
 
     def integer(self, value: int):
         return MPoly.constant(self.nvars, value)
@@ -107,8 +100,8 @@ class PolyContext:
         return MPoly.constant(self.nvars, root_of_unity(q, q))
 
     def variable(self, name: str, tok: Token):
-        idx = self.var_map.get(name)
-        if idx is None:
+        poly = self._variables.get(name)
+        if poly is None:
             known = ", ".join(sorted(self.var_map)) or "none"
             hint = f" in {self.where}" if self.where else ""
             raise DslError(
@@ -116,7 +109,7 @@ class PolyContext:
                 tok.line,
                 tok.col,
             )
-        return MPoly.variable(self.nvars, idx)
+        return poly
 
     def divide(self, num, den, tok: Token):
         if not den.is_constant():
