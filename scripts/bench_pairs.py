@@ -4,7 +4,8 @@
 
 Each run extracts a fresh `git archive` tree of its revision into a
 temporary directory and runs `python3 bench/run.py --workload W --seed S
---seconds T --trace 0` there, one run at a time.  Pair i runs seed
+--seconds T --trace 0` there, one run at a time, where T is the
+`run_seconds` of BENCHMARK.json (at CHANGE).  Pair i runs seed
 SEED_BASE + i on both sides, the parent first in even pairs and the
 change first in odd ones.  The environment is passed through unchanged;
 PYTHONDONTWRITEBYTECODE is recorded because it decides whether a run
@@ -17,8 +18,9 @@ summary gives both medians, the quartiles (statistics.quantiles,
 method="inclusive") and the parent's IQR, the wins (a strictly better
 value of the change within its pair) and whether the change's median is
 worse than the parent's by more than the metric's bound.  Each run
-records its seed, side, attempted and failed ops and every metric.  With
-no revisions it prints this help.
+records its seed, side, attempted and failed ops and every metric.  The
+workloads are those of BENCHMARK.json, all by default.  With no
+revisions it prints this help.
 """
 
 import argparse
@@ -85,11 +87,10 @@ def main():
     )
     parser.add_argument("parent", nargs="?", help="git revision of the parent")
     parser.add_argument("change", nargs="?", help="git revision of the change")
-    parser.add_argument("--workload", action="append", choices=["cli", "diagnose", "tower"],
-                        help="workload to run (repeatable; default all three)")
+    parser.add_argument("--workload", action="append",
+                        help="workload of BENCHMARK.json to run (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     parser.add_argument("--seed-base", type=int, default=0, help="seed of pair 0")
-    parser.add_argument("--seconds", type=int, default=20, help="--seconds of each run")
     args = parser.parse_args()
     if args.parent is None or args.change is None:
         parser.print_help()
@@ -97,24 +98,30 @@ def main():
     spec = json.loads(subprocess.run(
         ["git", "-C", ROOT, "show", f"{args.change}:BENCHMARK.json"],
         check=True, capture_output=True, text=True,
-    ).stdout)["end_to_end"]
+    ).stdout)
+    names = [w["name"] for w in spec["workloads"]]
+    unknown = set(args.workload or ()) - set(names)
+    if unknown:
+        parser.error(f"unknown workload(s) {sorted(unknown)}; BENCHMARK.json has {names}")
     result = {"environment": {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
               "end_to_end": {}}
-    for workload in args.workload or ["cli", "diagnose", "tower"]:
+    for workload in args.workload or names:
         runs = []
         for i in range(args.pairs):
             seed = args.seed_base + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 rev = args.parent if side == "parent" else args.change
-                line = run_once(rev, workload, seed, args.seconds)
+                line = run_once(rev, workload, seed, spec["run_seconds"])
                 runs.append({"pair": i, "seed": seed, "side": side,
                              "attempted": line["attempted"], "failed": line["failed"],
                              "correct": line["correct"],
-                             **{m["name"]: line["metrics"][m["name"]]["value"] for m in spec}})
+                             **{m["name"]: line["metrics"][m["name"]]["value"]
+                                for m in spec["end_to_end"]}})
                 print(f"{workload} pair {i} {side}: attempted {line['attempted']}, "
                       f"failed {line['failed']}", file=sys.stderr, flush=True)
-        result["end_to_end"][workload] = {"summary": summarize(runs, spec), "runs": runs}
+        result["end_to_end"][workload] = {"summary": summarize(runs, spec["end_to_end"]),
+                                          "runs": runs}
     print(json.dumps(result, indent=1))
     return 0
 

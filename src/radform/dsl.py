@@ -91,7 +91,7 @@ class PolyContext:
         self.nvars = nvars
         self.var_map = var_map
         self.where = where
-        self._variables = {name: MPoly.variable(nvars, i) for name, i in var_map.items()}
+        self._variables = {}
 
     def integer(self, value: int):
         return MPoly.constant(self.nvars, value)
@@ -101,7 +101,10 @@ class PolyContext:
 
     def variable(self, name: str, tok: Token):
         poly = self._variables.get(name)
-        if poly is None:
+        if poly is not None:
+            return poly
+        index = self.var_map.get(name)
+        if index is None:
             known = ", ".join(sorted(self.var_map)) or "none"
             hint = f" in {self.where}" if self.where else ""
             raise DslError(
@@ -109,6 +112,7 @@ class PolyContext:
                 tok.line,
                 tok.col,
             )
+        poly = self._variables[name] = MPoly.variable(self.nvars, index)
         return poly
 
     def divide(self, num, den, tok: Token):

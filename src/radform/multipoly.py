@@ -415,7 +415,9 @@ class MPoly:
         return join_terms(parts)
 
 
-_set_nvars, _set_order, _set_terms, _set_den = (MPoly.__dict__[s].__set__ for s in MPoly.__slots__)
+_set_nvars, _set_order, _set_terms, _set_den = (
+    MPoly.__dict__[slot].__set__ for slot in ("nvars", "order", "_terms", "_den")
+)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ class TestPolyExpressions:
         assert err.value.line == 3
         assert err.value.col == 6
 
+    def test_only_used_variables_are_built(self):
+        # x9 is out of range for two variables: building it would raise
+        ctx = PolyContext(2, {"x1": 1, "x2": 2, "x9": 9})
+        assert parse_expression("x1 - x2 + x1", ctx) == MPoly.variable(2, 1) * 2 - MPoly.variable(2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            parse_expression("x9", ctx)
+
     def test_constant_division_only(self):
         ctx = x_ctx(2)
         assert parse_expression("x1/2", ctx) == MPoly.variable(2, 1) * Fraction(1, 2)
