@@ -16,8 +16,11 @@ Prints one JSON object: {"environment": {...}, "end_to_end": {workload:
 BENCH_<pr>.json file.  Per metric of BENCHMARK.json (at CHANGE) the
 summary gives both medians, the quartiles (statistics.quantiles,
 method="inclusive") and the parent's IQR, the wins (a strictly better
-value of the change within its pair) and whether the change's median is
-worse than the parent's by more than the metric's bound.  Each run
+value of the change within its pair), whether the change's median is
+worse than the parent's by more than the metric's bound, and whether a
+gain may be claimed (`claim_met`: the change wins at least 9 of every 10
+pairs, ties counting for neither side, and its median is better than the
+parent's by more than the parent's IQR).  Each run
 records its seed, side, attempted and failed ops and every metric.  The
 workloads are those of BENCHMARK.json, all by default.  With no
 revisions it prints this help.
@@ -52,7 +55,8 @@ def run_once(rev, workload, seed, seconds):
 
 
 def summarize(runs, spec):
-    """Per-metric medians, quartiles, parent IQR, wins and bound verdicts."""
+    """Per-metric medians, quartiles, parent IQR, wins, bound verdicts and
+    whether a gain may be claimed."""
     summary = {}
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -66,17 +70,20 @@ def summarize(runs, spec):
                  else [v[0]] * 3 for s, v in sides.items()}
         parent, change = (statistics.median(sides[s]) for s in ("parent", "change"))
         frac = change / parent - 1 if parent else 0.0
+        gain = parent - change if lower else change - parent
+        iqr = quart["parent"][2] - quart["parent"][0]
         summary[name] = {
             "parent_median": parent,
             "change_median": change,
             "median_change_frac": frac,
             "parent_quartiles": [quart["parent"][0], quart["parent"][2]],
             "change_quartiles": [quart["change"][0], quart["change"][2]],
-            "parent_iqr": quart["parent"][2] - quart["parent"][0],
+            "parent_iqr": iqr,
             "change_wins": wins,
             "pairs": len(pairs),
             "bound": metric["bound"],
             "worse_by_more_than_bound": (frac if lower else -frac) > metric["bound"],
+            "claim_met": 10 * wins >= 9 * len(pairs) and gain > iqr,
         }
     return summary
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
 
 from radform.cyclotomic import root_of_unity
 from radform.dsl import (
@@ -42,13 +41,14 @@ from radform.tower import ATTESTED_UNKNOWN, AttestationError, nonpower_check, wi
 DEFAULT_MAX_DEGREE = 24
 
 
-@dataclass
 class CliConfig:
-    command: str
-    inputs: list = field(default_factory=list)
-    output: str | None = None
-    max_degree: int = DEFAULT_MAX_DEGREE
-    verbose: bool = False
+    def __init__(self, command: str, inputs: list | None = None, output: str | None = None,
+                 max_degree: int = DEFAULT_MAX_DEGREE, verbose: bool = False):
+        self.command = command
+        self.inputs = [] if inputs is None else inputs
+        self.output = output
+        self.max_degree = max_degree
+        self.verbose = verbose
 
 
 def _emit(config: CliConfig, text: str):

@@ -21,7 +21,6 @@ comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import prod
 
 from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
@@ -60,7 +59,10 @@ __all__ = [
 # the three formula forms
 
 
-@dataclass
+def _fields_equal(self, other):
+    return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+
 class SolvabilityScheme:
     """Abstract solution shape over coefficient variables a_0..a_(n-1).
 
@@ -68,34 +70,26 @@ class SolvabilityScheme:
     n + j.  Exponents need not be prime here; factor_radicals normalizes.
     """
 
-    n: int
-    s: int
-    ks: list
-    ps: list
+    def __init__(self, n: int, s: int, ks: list, ps: list):
+        _check_shape(n, s, ks, ps)
+        self.n, self.s, self.ks, self.ps = n, s, ks, ps
 
-    def __post_init__(self):
-        _check_shape(self.n, self.s, self.ks, self.ps)
+    __eq__ = _fields_equal
 
 
-@dataclass
 class PolyRadicalFormula:
     """Explicit radical formula: every radical has an x-polynomial witness."""
 
-    n: int
-    s: int
-    ks: list
-    ps: list
-    witnesses: list
+    def __init__(self, n: int, s: int, ks: list, ps: list, witnesses: list):
+        _check_shape(n, s, ks, ps)
+        if len(witnesses) != s:
+            raise ValueError(f"need {s} witnesses, got {len(witnesses)}")
+        for j, w in enumerate(witnesses, start=1):
+            if w.nvars != n:
+                raise ValueError(f"witness {j} has {w.nvars} variables, expected {n}")
+        self.n, self.s, self.ks, self.ps, self.witnesses = n, s, ks, ps, witnesses
 
-    def __post_init__(self):
-        _check_shape(self.n, self.s, self.ks, self.ps)
-        if len(self.witnesses) != self.s:
-            raise ValueError(f"need {self.s} witnesses, got {len(self.witnesses)}")
-        for j, w in enumerate(self.witnesses, start=1):
-            if w.nvars != self.n:
-                raise ValueError(
-                    f"witness {j} has {w.nvars} variables, expected {self.n}"
-                )
+    __eq__ = _fields_equal
 
 
 def _check_shape(n, s, ks, ps):

@@ -42,6 +42,7 @@ from radform.cyclotomic import (
     join_terms,
     mul_terms,
     power,
+    project,
     reduce_phi,
     term_text,
 )
@@ -396,18 +397,29 @@ class MPoly:
         return self.render()
 
     def render(self, names=None) -> str:
-        """Human-readable form, terms in descending graded-lex order."""
+        """Human-readable form, terms in descending graded-lex order, the
+        coefficients written at the smallest order that holds all of them,
+        so equal polynomials print alike however their order arose."""
         if not self._terms:
             return "0"
         if names is None:
             names = [f"x{i}" for i in range(1, self.nvars + 1)]
+        items = sorted(_grouped(self._terms).items(), reverse=True)
+        scalars = [self._scalar(ws) for _, ws in items]
+        for d in range(2, self.order):
+            if self.order % d == 0:
+                low = list(itertools.takewhile(lambda c: c is not None, (
+                    c if c.is_rational() else project(c, d) for c in scalars)))
+                if len(low) == len(scalars):
+                    scalars = low
+                    break
         parts = []
-        for key, ws in sorted(_grouped(self._terms).items(), reverse=True):
+        for (key, _), scalar in zip(items, scalars):
             body = "*".join(
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(names, _exps(key, self.nvars)) if e
             )
-            cs = str(self._scalar(ws))
+            cs = str(scalar)
             if " " in cs or cs.startswith("-") and body:
                 if not (cs.lstrip("-").replace("/", "").isdigit()):
                     cs = f"({cs})"

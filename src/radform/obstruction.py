@@ -16,8 +16,6 @@ one ends the run with a diagnosis instead of the contradiction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from radform.formula import (
     PolyRadicalFormula,
     chain_identity,
@@ -43,7 +41,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class SymmetryVerdict:
     """Outcome of the keeping-symmetry check for one polynomial.
 
@@ -54,12 +51,11 @@ class SymmetryVerdict:
     the character argument closes the proof.
     """
 
-    f: MPoly
-    q: int
-    certified: bool
-    character: Character
-    triviality: HomTrivialityReport | None = None
-    notes: list = field(default_factory=list)
+    def __init__(self, f: MPoly, q: int, certified: bool, character: Character,
+                 triviality: HomTrivialityReport | None = None, notes: list | None = None):
+        self.f, self.q, self.certified, self.character = f, q, certified, character
+        self.triviality = triviality
+        self.notes = [] if notes is None else notes
 
     def lines(self) -> list[str]:
         n = self.f.nvars
@@ -120,17 +116,15 @@ def keeping_symmetry(f: MPoly, q: int) -> SymmetryVerdict:
     return verdict
 
 
-@dataclass
 class LevelEntry:
     """One rung of the induction: identity check, then symmetry transfer."""
 
-    level: int
-    exponent: int
-    identity: IdentityRecord
-    even_symmetric: bool | None = None
-    symmetry: SymmetryVerdict | None = None
-    verdict: str = ""
-    note: str = ""
+    def __init__(self, level: int, exponent: int, identity: IdentityRecord,
+                 even_symmetric: bool | None = None, symmetry: SymmetryVerdict | None = None,
+                 verdict: str = "", note: str = ""):
+        self.level, self.exponent, self.identity = level, exponent, identity
+        self.even_symmetric, self.symmetry = even_symmetric, symmetry
+        self.verdict, self.note = verdict, note
 
     @property
     def character(self) -> Character | None:
@@ -153,13 +147,11 @@ class LevelEntry:
         return out
 
 
-@dataclass
 class ContradictionRecord:
     """The closing step: the candidate's output is even-symmetric, x_1 is not."""
 
-    final_even: bool
-    mover: str
-    difference: str
+    def __init__(self, final_even: bool, mover: str, difference: str):
+        self.final_even, self.mover, self.difference = final_even, mover, difference
 
     def lines(self) -> list[str]:
         return [
@@ -169,7 +161,6 @@ class ContradictionRecord:
         ]
 
 
-@dataclass
 class ObstructionReport:
     """Deterministic trace of one run: levels ascending, first failure last.
 
@@ -178,13 +169,11 @@ class ObstructionReport:
     from the even-symmetry argument rather than a broken identity.
     """
 
-    n: int
-    s: int
-    ks: list
-    original_ks: list
-    entries: list = field(default_factory=list)
-    contradiction: ContradictionRecord | None = None
-    verdict: str = ""
+    def __init__(self, n: int, s: int, ks: list, original_ks: list, entries: list | None = None,
+                 contradiction: ContradictionRecord | None = None, verdict: str = ""):
+        self.n, self.s, self.ks, self.original_ks = n, s, ks, original_ks
+        self.entries = [] if entries is None else entries
+        self.contradiction, self.verdict = contradiction, verdict
 
     @property
     def refuted(self) -> bool:

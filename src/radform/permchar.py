@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from radform.cyclotomic import CycScalar, project, root_of_unity
 from radform.multipoly import MPoly, is_even_symmetric, permute_vars
@@ -285,14 +284,19 @@ def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycSc
     raise ValueError("no q-th root of unity relates f to its permuted copy")
 
 
-@dataclass(frozen=True)
 class Character:
     """Character data of one polynomial: values on alternating generators."""
 
-    n: int
-    q: int
-    values: dict
-    source: MPoly
+    __slots__ = ("n", "q", "values", "source")
+
+    def __init__(self, n: int, q: int, values: dict, source: MPoly):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "source", source)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Character is immutable")
 
     def is_trivial(self) -> bool:
         return all(v == CycScalar.one() for v in self.values.values())
@@ -344,26 +348,31 @@ def _ext_gcd_int(a: int, b: int):
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
 class OracleRun:
-    n: int
-    group_size: int
-    commutator_size: int
+    __slots__ = ("n", "group_size", "commutator_size")
+
+    def __init__(self, n: int, group_size: int, commutator_size: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "group_size", group_size)
+        object.__setattr__(self, "commutator_size", commutator_size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OracleRun is immutable")
 
     @property
     def perfect(self) -> bool:
         return self.group_size == self.commutator_size
 
 
-@dataclass
 class HomTrivialityReport:
-    n: int
-    q: int
-    trivial: bool
-    derivations: list = field(default_factory=list)
-    oracle_runs: list = field(default_factory=list)
-    counterexample: Character | None = None
-    notes: list = field(default_factory=list)
+    def __init__(self, n: int, q: int, trivial: bool, derivations: list | None = None,
+                 oracle_runs: list | None = None, counterexample: Character | None = None,
+                 notes: list | None = None):
+        self.n, self.q, self.trivial = n, q, trivial
+        self.derivations = [] if derivations is None else derivations
+        self.oracle_runs = [] if oracle_runs is None else oracle_runs
+        self.counterexample = counterexample
+        self.notes = [] if notes is None else notes
 
     def lines(self) -> list[str]:
         head = (

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -87,7 +86,6 @@ def _as_witness(rf: RatFunc):
     return rf if poly is None else poly
 
 
-@dataclass
 class LastRadicalData:
     """What the last radical of a tower looks like through the z-change.
 
@@ -99,16 +97,11 @@ class LastRadicalData:
     a polynomial in z of degree below k whose degree-1 coefficient is 1.
     """
 
-    level: int
-    k: int
-    l: int
-    u: TowerElem
-    a: int
-    b: int
-    z_defining: str
-    spec_prime: TowerSpec
-    q_poly: TowerElem
-    y_image: TowerElem
+    def __init__(self, level: int, k: int, l: int, u: TowerElem, a: int, b: int,
+                 z_defining: str, spec_prime: TowerSpec, q_poly: TowerElem, y_image: TowerElem):
+        self.level, self.k, self.l, self.u, self.a, self.b = level, k, l, u, a, b
+        self.z_defining, self.spec_prime = z_defining, spec_prime
+        self.q_poly, self.y_image = q_poly, y_image
 
 
 def _extract(spec: TowerSpec, element: TowerElem, j: int) -> LastRadicalData:
@@ -278,17 +271,13 @@ def build_R(f: MPoly):
     return [symmetrize(c) for c in coeffs]
 
 
-@dataclass
 class AbelStep:
     """One level of the downward rewrite, with the re-verified state."""
 
-    level: int
-    skipped: bool
-    note: str
-    data: LastRadicalData | None
-    formula: FormalRadicalFormula
-    witnesses: list
-    report: WitnessReport | None
+    def __init__(self, level: int, skipped: bool, note: str, data: LastRadicalData | None,
+                 formula: FormalRadicalFormula, witnesses: list, report: WitnessReport | None):
+        self.level, self.skipped, self.note, self.data = level, skipped, note, data
+        self.formula, self.witnesses, self.report = formula, witnesses, report
 
     def lines(self) -> list[str]:
         if self.skipped:
@@ -304,15 +293,16 @@ class AbelStep:
         return out
 
 
-@dataclass
 class AbelReport:
     """Full trace of the downward induction, initial state to final."""
 
-    initial: FormalRadicalFormula
-    initial_witnesses: list
-    steps: list = field(default_factory=list)
-    final: FormalRadicalFormula | None = None
-    witnesses: list = field(default_factory=list)
+    def __init__(self, initial: FormalRadicalFormula, initial_witnesses: list,
+                 steps: list | None = None, final: FormalRadicalFormula | None = None,
+                 witnesses: list | None = None):
+        self.initial, self.initial_witnesses = initial, initial_witnesses
+        self.steps = [] if steps is None else steps
+        self.final = final
+        self.witnesses = [] if witnesses is None else witnesses
 
     def lines(self) -> list[str]:
         s = self.initial.s

@@ -25,7 +25,6 @@ is zero at some level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from radform import upoly
@@ -596,13 +595,19 @@ def conjugate(e: TowerElem, j: int, power: int) -> TowerElem:
 # nonpower checking
 
 
-@dataclass(frozen=True)
 class NonpowerResult:
-    level: int
-    k: int
-    status: str  # "verified" | "refuted" | "undecided"
-    root: TowerElem | None = None
-    detail: str = ""
+    __slots__ = ("level", "k", "status", "root", "detail")
+
+    def __init__(self, level: int, k: int, status: str, root: TowerElem | None = None,
+                 detail: str = ""):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "status", status)  # "verified" | "refuted" | "undecided"
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NonpowerResult is immutable")
 
 
 def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
@@ -670,13 +675,11 @@ def _constant_scalar(e: TowerElem):
 # annihilation certificates
 
 
-@dataclass
 class AnnihilationReport:
-    level: int
-    k: int
-    remainder: list
-    quotient: list
-    lines: list = field(default_factory=list)
+    def __init__(self, level: int, k: int, remainder: list, quotient: list,
+                 lines: list | None = None):
+        self.level, self.k, self.remainder, self.quotient = level, k, remainder, quotient
+        self.lines = [] if lines is None else lines
 
     @property
     def annihilates(self) -> bool:
@@ -749,11 +752,9 @@ def expand_with_witnesses(e: TowerElem, witnesses) -> RatFunc:
     return total
 
 
-@dataclass
 class IdentityRecord:
-    name: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name, self.ok, self.detail = name, ok, detail
 
     @classmethod
     def of(cls, name: str, diff: MPoly) -> "IdentityRecord":
@@ -769,9 +770,9 @@ class IdentityRecord:
         return out
 
 
-@dataclass
 class WitnessReport:
-    records: list
+    def __init__(self, records: list):
+        self.records = records
 
     @property
     def all_pass(self) -> bool:

@@ -9,7 +9,11 @@ reads for coefficient sizes keeps its shape.
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +21,8 @@ import pytest
 from radform.cyclotomic import CycScalar, root_of_unity
 from radform.multipoly import MPoly
 
-TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -44,6 +49,23 @@ def test_target_resolves_as_install_does(target):
         assert callable(vars(owner)[attr])
     else:
         assert callable(getattr(owner, attr))
+
+
+def test_cold_cli_import_loads_every_target_and_no_dataclasses():
+    # the child must import the same checkout as this process
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys; before = sorted(sys.modules); import radform.cli; "
+         "print(json.dumps([before, sorted(sys.modules)]))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    before, loaded = (set(names) for names in json.loads(result.stdout))
+    assert not {"dataclasses", "inspect"} & (loaded - before)
+    # Tracer.install() reads these from sys.modules right after the import
+    assert {module_name for _, module_name, _, _ in tracer.TARGETS} <= loaded
 
 
 def test_install_counts_calls_and_uninstall_restores():

@@ -188,6 +188,16 @@ class TestSymmetrize:
         assert out == ""
         assert err.count("\n") == 1 and "x1" in err
 
+    @pytest.mark.parametrize("expr", [
+        "x1 + x2 + w(3)",
+        "x1 + x2 + w(3) + w(5) - w(5)",
+        "x1 + x2 + w(12)^4",
+        "x1 + x2 + w(9)^3 + w(4)^2 + 1",
+    ])
+    def test_equal_inputs_print_alike_at_the_smallest_order(self, capsys, expr):
+        code, out, _ = run(capsys, "symmetrize", expr)
+        assert (code, out) == (0, "s1 + w(3)\n")
+
 
 class TestBuiltin:
     def test_degree2_matches_fixture(self, capsys):
@@ -221,8 +231,11 @@ class TestAbelize:
             capsys, "abelize", FIXTURES / "degree3.tower", "--output", out_path
         )
         assert code == 0
-        document = parse(out_path.read_text())
+        text = out_path.read_text()
+        document = parse(text)
         assert (document.n, document.s) == (3, 3)
+        # the witnesses lie in Q(w_3) and print there, not in Q(w_12)
+        assert "w(12)" not in text and "witness 2 = x1 + w(3)*x2 + (-1 - w(3))*x3" in text
         code, _, _ = run(capsys, "verify", out_path)
         assert code == 0
 
@@ -256,6 +269,7 @@ class TestConfig:
         config = CliConfig(command="verify")
         assert config.max_degree == DEFAULT_MAX_DEGREE
         assert config.output is None
+        assert config.inputs == [] and config.inputs is not CliConfig("verify").inputs
 
     def test_console_script_round_trip(self):
         # the child must import the same checkout as this process

@@ -166,6 +166,13 @@ class TestSerialization:
         assert unattested.spec.attestations == [ATTESTED_UNKNOWN]
         assert unattested != formula
 
+    def test_formulas_differing_in_one_witness_are_unequal(self):
+        formula = builtin("degree2")
+        same = PolyRadicalFormula(2, 1, [2], list(formula.ps), list(formula.witnesses))
+        other = PolyRadicalFormula(2, 1, [2], list(formula.ps), [-formula.witnesses[0]])
+        assert same == formula
+        assert other != formula and formula != other
+
     def test_random_formulas_round_trip(self):
         rng = random.Random(11)
         w3 = root_of_unity(3, 3)

@@ -18,6 +18,7 @@ from radform.permchar import (
     compose,
     verify_hom_trivial,
 )
+from radform.tower import NonpowerResult
 
 
 def cyc(n, *entries):
@@ -276,3 +277,16 @@ def test_small_n_with_q_not_3_still_trivial():
 def test_triviality_rejects_tiny_n():
     with pytest.raises(ValueError):
         verify_hom_trivial(2, 2)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: verify_hom_trivial(3, 3).counterexample, "values"),
+    (lambda: verify_hom_trivial(5, 2).oracle_runs[0], "group_size"),
+    (lambda: NonpowerResult(1, 2, "undecided"), "status"),
+], ids=["Character", "OracleRun", "NonpowerResult"])
+def test_result_records_refuse_assignment(make, field):
+    record = make()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before

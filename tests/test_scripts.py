@@ -1,6 +1,8 @@
-"""Every script under scripts/ runs to completion, and the character
-survey prints the character tables recorded below."""
+"""Every script under scripts/ runs to completion, the character survey
+prints the character tables recorded below, and bench_pairs judges a
+claimed gain by its pairs."""
 
+import importlib.util
 import os
 import pathlib
 import re
@@ -52,3 +54,44 @@ def test_flagship_reports_times_and_peak_rss():
     assert [line.split()[0] for line in lines[1:4]] == ["build_s", "refute_s", "peak_rss_mb"]
     assert all(float(line.split()[1]) > 0 for line in lines[1:4])
     assert lines[4] == "refuted: even-symmetry obstruction at the closing identity"
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def synthetic_runs(parent, change):
+    """Runs of one metric "m": pair i reads parent[i] and change[i]."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        runs += [{"pair": i, "side": "parent", "m": p}, {"pair": i, "side": "change", "m": c}]
+    return runs
+
+
+PARENT = [100, 102, 98, 101, 99, 103, 97, 100, 102, 98]  # quartiles 98.25, 101.75
+
+
+@pytest.mark.parametrize("better, change, wins, claim_met", [
+    # every pair won, medians 10 apart against a parent IQR of 3.5
+    ("lower", [v - 10 for v in PARENT], 10, True),
+    ("higher", [v + 10 for v in PARENT], 10, True),
+    # 9 of 10 won, the tie counting for neither side
+    ("lower", [v - 10 for v in PARENT[:9]] + [PARENT[9]], 9, True),
+    # 8 of 10 won
+    ("lower", [v - 10 for v in PARENT[:8]] + PARENT[8:], 8, False),
+    # every pair won, but by less than the parent's IQR
+    ("lower", [v - 1 for v in PARENT], 10, False),
+    # a gain on a metric where higher is better does not count as lower
+    ("higher", [v - 10 for v in PARENT], 0, False),
+])
+def test_bench_pairs_claim_rule(better, change, wins, claim_met):
+    spec = [{"name": "m", "better": better, "bound": 0.25}]
+    summary = load_bench_pairs().summarize(synthetic_runs(PARENT, change), spec)["m"]
+    assert summary["parent_iqr"] == 3.5
+    assert (summary["change_wins"], summary["pairs"]) == (wins, 10)
+    assert summary["claim_met"] is claim_met
