@@ -21,12 +21,15 @@ worse than the parent's by more than the metric's bound, and whether a
 gain may be claimed (`claim_met`: the change wins at least 9 of every 10
 pairs, ties counting for neither side, and its median is better than the
 parent's by more than the parent's IQR).  Each run
-records its seed, side, attempted and failed ops and every metric.  The
+records its seed, side, attempted and failed ops, every metric, and
+`src_lines`, the line count of src/radform/*.py in its tree, so the size
+of the package sits next to its timings.  The
 workloads are those of BENCHMARK.json, all by default.  With no
 revisions it prints this help.
 """
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -37,8 +40,18 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def src_lines(tree):
+    """The line count of src/radform/*.py under tree, as `wc -l` gives it."""
+    total = 0
+    for path in glob.glob(os.path.join(tree, "src", "radform", "*.py")):
+        with open(path, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def run_once(rev, workload, seed, seconds):
-    """The result line of one benchmark run on a fresh tree of rev."""
+    """The result line of one benchmark run on a fresh tree of rev, with the
+    tree's src_lines added."""
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tree:
         archive = subprocess.run(
             ["git", "-C", ROOT, "archive", rev], check=True, capture_output=True
@@ -49,9 +62,10 @@ def run_once(rev, workload, seed, seconds):
              "--seconds", str(seconds), "--trace", "0"],
             cwd=tree, capture_output=True, text=True,
         )
+        lines = src_lines(tree)
     if run.returncode:
         sys.exit(f"bench/run.py on {rev} exited {run.returncode}:\n{run.stderr}")
-    return json.loads(run.stdout.strip().splitlines()[-1])
+    return {**json.loads(run.stdout.strip().splitlines()[-1]), "src_lines": lines}
 
 
 def summarize(runs, spec):
@@ -122,7 +136,7 @@ def main():
                 line = run_once(rev, workload, seed, spec["run_seconds"])
                 runs.append({"pair": i, "seed": seed, "side": side,
                              "attempted": line["attempted"], "failed": line["failed"],
-                             "correct": line["correct"],
+                             "correct": line["correct"], "src_lines": line["src_lines"],
                              **{m["name"]: line["metrics"][m["name"]]["value"]
                                 for m in spec["end_to_end"]}})
                 print(f"{workload} pair {i} {side}: attempted {line['attempted']}, "

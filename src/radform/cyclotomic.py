@@ -20,8 +20,6 @@ import functools
 import math
 from fractions import Fraction
 
-from radform import upoly
-
 __all__ = [
     "FIELD_BITS",
     "FIELD_MASK",
@@ -50,20 +48,42 @@ class OrderMismatchError(ValueError):
     """A requested root order does not divide the ambient order."""
 
 
+def _prime_factors(k: int) -> list[int]:
+    """The prime factors of k in ascending order, with multiplicity; empty
+    for k < 2."""
+    out, d = [], 2
+    while d * d <= k:
+        while k % d == 0:
+            out.append(d)
+            k //= d
+        d += 1
+    return out + [k] if k > 1 else out
+
+
 @functools.cache
 def cyclotomic_poly(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_order, low degree first: t^order - 1 divided by
-    the product of Phi_d over the proper divisors d of order."""
+    """Coefficients of Phi_order, low degree first, as the product of
+    (t^d - 1)^mu(order/d) over the divisors d of order.  The factors with
+    mu = 1 are multiplied in first, so each division by t^d - 1 after them
+    is exact: a running sum with step d."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
-    num, den = [Fraction(-1)] + [_F0] * (order - 1) + [_F1], [_F1]
-    for d in range(1, order):
+    times, over = [], []
+    for d in range(1, order + 1):
         if order % d == 0:
-            den = upoly.mul(den, cyclotomic_poly(d), _F0)
-    quo, rem = upoly.divmod(num, den, None, _F0)
-    if rem:
-        raise AssertionError(f"cyclotomic division left a remainder for order {order}")
-    return tuple(quo)
+            primes = _prime_factors(order // d)
+            if len(set(primes)) == len(primes):
+                (over if len(primes) % 2 else times).append(d)
+    coeffs = [1]
+    for d in times:
+        coeffs = [a - b for a, b in zip([0] * d + coeffs, coeffs + [0] * d)]
+    for d in over:
+        # c = q * (t^d - 1) gives q_i = q_(i-d) - c_i
+        quo = []
+        for i in range(len(coeffs) - d):
+            quo.append((quo[i - d] if i >= d else 0) - coeffs[i])
+        coeffs = quo
+    return tuple(Fraction(c) for c in coeffs)
 
 
 def euler_phi(order: int) -> int:

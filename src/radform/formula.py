@@ -27,7 +27,7 @@ from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
 from radform.multipoly import (
     MPoly, _exps, _grouped, permute_vars, sigma_images, substitute, symmetrize,
 )
-from radform.cyclotomic import root_of_unity
+from radform.cyclotomic import _prime_factors, root_of_unity
 from radform.tower import (
     ATTESTED_ASSERTED,
     ATTESTED_UNKNOWN,
@@ -37,7 +37,6 @@ from radform.tower import (
     TowerSpec,
     WitnessReport,
     _is_prime,
-    _prime_factors,
     compatible,
 )
 
@@ -160,20 +159,9 @@ def _x_names(n):
     return [f"x{i}" for i in range(1, n + 1)]
 
 
-def _scheme_context(n, j, where):
-    table = {f"a{t}": t + 1 for t in range(n)}
-    table.update({f"z{i}": n + i for i in range(1, j + 1)})
-    return PolyContext(n + j, table, where)
-
-
-def _poly_context(n, j, where):
-    table = {f"s{i}": i for i in range(1, n + 1)}
-    table.update({f"f{i}": n + i for i in range(1, j + 1)})
-    return PolyContext(n + j, table, where)
-
-
-def _witness_context(n, where):
-    return PolyContext(n, {f"x{i}": i for i in range(1, n + 1)}, where)
+def _context(names, where):
+    """The parsing context whose variables are names, numbered from 1."""
+    return PolyContext(len(names), {v: i for i, v in enumerate(names, 1)}, where)
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +242,8 @@ def _parse_schemeish(n, s, body, with_witnesses):
                 raise DslError(f"p index {j} exceeds s={s}", line_no)
             if j in ps:
                 raise DslError(f"duplicate definition of p {j}", line_no)
-            ctx = (
-                _poly_context(n, j, f"p {j}")
-                if with_witnesses
-                else _scheme_context(n, j, f"p {j}")
-            )
+            names = _poly_names(n, j) if with_witnesses else _scheme_names(n, j)
+            ctx = _context(names, f"p {j}")
             ps[j] = parse_expression(_expr_source(m, 2), ctx, line_no)
         elif m := _WITNESS_RE.match(stripped):
             if not with_witnesses:
@@ -270,7 +255,7 @@ def _parse_schemeish(n, s, body, with_witnesses):
                 raise DslError(f"witness index must be 1..{s}", line_no)
             if j in witnesses:
                 raise DslError(f"duplicate witness {j}", line_no)
-            ctx = _witness_context(n, f"witness {j}")
+            ctx = _context(_x_names(n), f"witness {j}")
             witnesses[j] = parse_expression(_expr_source(m, 2), ctx, line_no)
         elif _TARGET_RE.match(stripped):
             raise DslError(

@@ -25,11 +25,12 @@ from collections import Counter
 from fractions import Fraction
 from math import prod
 
-from radform.cyclotomic import CycScalar, root_of_unity
+from radform.cyclotomic import CycScalar, _prime_factors, root_of_unity
 from radform.formula import FormalRadicalFormula
 from radform.multipoly import (
     MPoly,
     UNDECIDED,
+    _fraction_kth_root,
     is_symmetric,
     kth_root_poly,
     permute_vars,
@@ -43,7 +44,6 @@ from radform.tower import (
     TowerElem,
     TowerSpec,
     WitnessReport,
-    _prime_factors,
     expand_with_witnesses,
     witness_check,
 )
@@ -130,11 +130,7 @@ def _extract(spec: TowerSpec, element: TowerElem, j: int) -> LastRadicalData:
     v = _retag(u, prime).inverse()
     z = prime.generator(j)
     y_image = _retag(rho, prime) ** a * v ** b * z ** b
-    q = prime.zero(j)
-    for m, c in enumerate(lifted.coords):
-        if not c.is_zero():
-            q = q + _retag(c, prime) * y_image ** m
-    q = prime.lift(q, j)
+    q = _rewrite(lifted, j, y_image, prime)
     if q.coords[1] != prime.one(j - 1):
         raise AssertionError(
             "the rewritten element does not have degree-1 coefficient 1 in z; "
@@ -457,9 +453,9 @@ def _scalar_kth_root(c: CycScalar, k: int):
     if not c.is_rational():
         return None
     value = c.as_fraction()
-    plain = kth_root_poly(MPoly.constant(1, value), k)
-    if isinstance(plain, MPoly):
-        return plain.constant_value()
+    plain = _fraction_kth_root(value, k)
+    if plain is not UNDECIDED:
+        return CycScalar.from_rational(plain)
     if k != 2:
         return None
     m = value.numerator * value.denominator

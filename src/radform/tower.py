@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from radform import upoly
-from radform.cyclotomic import CycScalar, power
+from radform.cyclotomic import CycScalar, _prime_factors, coerced, power
 from radform.multipoly import (
     MPoly,
     NO_ROOT,
@@ -66,18 +65,6 @@ ATTESTED_UNKNOWN = "unknown"
 
 class AttestationError(RuntimeError):
     """Division needed a nonpower attestation that is missing or false."""
-
-
-def _prime_factors(k: int) -> list[int]:
-    """The prime factors of k in ascending order, with multiplicity; empty
-    for k < 2."""
-    out, d = [], 2
-    while d * d <= k:
-        while k % d == 0:
-            out.append(d)
-            k //= d
-        d += 1
-    return out + [k] if k > 1 else out
 
 
 def _is_prime(k: int) -> bool:
@@ -137,10 +124,8 @@ class RatFunc:
         except TypeError:
             return None
 
+    @coerced(_coerce)
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(
@@ -152,22 +137,16 @@ class RatFunc:
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
+    @coerced(_coerce)
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @coerced(_coerce)
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @coerced(_coerce)
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -177,16 +156,12 @@ class RatFunc:
             raise ZeroDivisionError("inverse of the zero rational function")
         return RatFunc(self.den, self.num)
 
+    @coerced(_coerce)
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inv()
 
+    @coerced(_coerce)
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.inv()
 
     def __pow__(self, e: int):
@@ -196,10 +171,8 @@ class RatFunc:
             return self.inv() ** (-e)
         return RatFunc(self.num ** e, self.den ** e)
 
+    @coerced(_coerce)
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.num * other.den == other.num * self.den
 
     def as_poly(self) -> MPoly | None:
@@ -389,23 +362,22 @@ class TowerElem:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _pair(self, other):
+    def _coerce(self, other):
         if isinstance(other, TowerElem):
             if not compatible(
                 self.spec, other.spec, upto=max(self.level, other.level)
             ):
                 raise ValueError("elements belong to different towers")
-        elif _scalar_like(other):
-            other = self.spec._coerce_elem(other)
-        else:
-            return None, None
+            return other
+        return self.spec._coerce_elem(other) if _scalar_like(other) else None
+
+    def _pair(self, other):
         lvl = max(self.level, other.level)
         return self.spec.lift(self, lvl), self.spec.lift(other, lvl)
 
+    @coerced(_coerce)
     def __add__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         if a.level == 0:
             return TowerElem(a.spec, 0, a.payload + b.payload)
         return TowerElem(
@@ -421,26 +393,22 @@ class TowerElem:
             return TowerElem(self.spec, 0, -self.payload)
         return TowerElem(self.spec, self.level, tuple(-c for c in self.payload))
 
+    @coerced(_coerce)
     def __sub__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         return a + (-b)
 
+    @coerced(_coerce)
     def __rsub__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         return b + (-a)
 
+    @coerced(_coerce)
     def __mul__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         if a.level == 0:
             return TowerElem(a.spec, 0, a.payload * b.payload)
         k = a.spec.ks[a.level - 1]
-        rho = a.spec.ps[a.level - 1]
         zero = a.spec.zero(a.level - 1)
         raw = [zero] * (2 * k - 1)
         for i, ca in enumerate(a.payload):
@@ -450,11 +418,8 @@ class TowerElem:
                 if cb.is_zero():
                     continue
                 raw[i + j] = raw[i + j] + ca * cb
-        # fold y^m for m >= k back down through y^k = rho
-        for m in range(2 * k - 2, k - 1, -1):
-            if not raw[m].is_zero():
-                raw[m - k] = raw[m - k] + raw[m] * rho
-        return TowerElem(a.spec, a.level, tuple(raw[:k]))
+        _fold(raw, k, a.spec.ps[a.level - 1])
+        return TowerElem(a.spec, a.level, tuple(raw))
 
     __rmul__ = __mul__
 
@@ -464,22 +429,19 @@ class TowerElem:
         base = self.inverse() if e < 0 else self
         return power(base, abs(e), lambda: self.spec.one(self.level))
 
+    @coerced(_coerce)
     def __truediv__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         return a * b.inverse()
 
+    @coerced(_coerce)
     def __rtruediv__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         return b * a.inverse()
 
+    @coerced(_coerce)
     def __eq__(self, other):
         a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
         return a._same_payload(b)
 
     def inverse(self) -> "TowerElem":
@@ -559,6 +521,19 @@ class TowerElem:
 
 def _scalar_like(x):
     return isinstance(x, (int, Fraction, CycScalar, MPoly, RatFunc))
+
+
+def _fold(raw: list, k: int, rho: TowerElem) -> list:
+    """Reduce the coefficient list raw modulo y^k - rho in place: from the
+    top, y^m becomes y^(m-k) * rho, zero coefficients skipped.  raw keeps
+    its k low coefficients, and the folded ones come back as the quotient,
+    lowest degree first."""
+    for m in range(len(raw) - 1, k - 1, -1):
+        if not raw[m].is_zero():
+            raw[m - k] = raw[m - k] + raw[m] * rho
+    quotient = raw[k:]
+    del raw[k:]
+    return quotient
 
 
 # ---------------------------------------------------------------------------
@@ -694,20 +669,22 @@ def check_annihilation(spec: TowerSpec, level: int, q_coeffs) -> AnnihilationRep
 
     A zero remainder certifies that Q vanishes on the level generator and
     on every conjugate w^j * y simultaneously, since (w^j y)^k = rho as
-    well.  The remainder and quotient come back for inspection either way.
+    well.  The reduction is the fold that tower products use, on Q padded
+    to k coefficients; t^k - rho is monic, so it inverts nothing and needs
+    no nonpower attestation.  The remainder (k coefficients) and the
+    quotient (no trailing zeros) come back for inspection either way.
     """
     if not 1 <= level <= spec.s:
         raise ValueError(f"no level {level} in this tower")
     below = level - 1
     k = spec.ks[below]
     rho = spec.ps[below]
-    coeffs = [spec.lift(spec._coerce_elem(c), below) for c in q_coeffs]
-    modulus = [-rho] + [spec.zero(below)] * (k - 1) + [spec.one(below)]
-    # the modulus is monic, so the reduction needs no inverse and hence no
-    # nonpower attestation
-    quo, rem = upoly.divmod(coeffs, modulus, None, spec.zero(below))
-    rem = list(rem) + [spec.zero(below)] * (k - len(rem))
-    report = AnnihilationReport(level=level, k=k, remainder=rem[:k], quotient=quo)
+    rem = [spec.lift(spec._coerce_elem(c), below) for c in q_coeffs]
+    rem += [spec.zero(below)] * (k - len(rem))
+    quo = _fold(rem, k, rho)
+    while quo and quo[-1].is_zero():
+        quo.pop()
+    report = AnnihilationReport(level=level, k=k, remainder=rem, quotient=quo)
     if report.annihilates:
         report.lines.append(
             f"remainder of Q modulo t^{k} - p_{below} is 0: Q annihilates the "

@@ -1,6 +1,6 @@
 """Every script under scripts/ runs to completion, the character survey
 prints the character tables recorded below, and bench_pairs judges a
-claimed gain by its pairs."""
+claimed gain by its pairs and counts the package's lines."""
 
 import importlib.util
 import os
@@ -95,3 +95,13 @@ def test_bench_pairs_claim_rule(better, change, wins, claim_met):
     assert summary["parent_iqr"] == 3.5
     assert (summary["change_wins"], summary["pairs"]) == (wins, 10)
     assert summary["claim_met"] is claim_met
+
+
+def test_bench_pairs_counts_package_lines(tmp_path):
+    package = tmp_path / "src" / "radform"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text("z = 3\n")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub" / "c.py").write_text("not counted\n")
+    assert load_bench_pairs().src_lines(tmp_path) == 4

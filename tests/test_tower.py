@@ -73,6 +73,13 @@ def cubic():
     return spec
 
 
+def quintic_spec():
+    """One level of degree 5 over two sigma-variables."""
+    spec = TowerSpec(2)
+    spec.add_level(5, spec.from_sigma_poly(sigma(2, 1) ** 2 - 4 * sigma(2, 2)))
+    return spec
+
+
 def cubic_witnesses():
     x1, x2, x3 = (MPoly.variable(3, i) for i in (1, 2, 3))
     w = root_of_unity(3, 3)
@@ -114,6 +121,25 @@ class TestRatFunc:
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc.zero(2).inv()
+
+    def test_foreign_operands(self):
+        r = RatFunc(sigma(2, 1), sigma(2, 2) + 1)
+        with pytest.raises(TypeError):
+            r + "a"
+        with pytest.raises(TypeError):
+            r * object()
+        with pytest.raises(TypeError):
+            "a" / r
+        assert (r == "a") is False
+        assert r != "a"
+
+    def test_reflected_operators_match_forward_ones(self):
+        r = RatFunc(sigma(2, 1), sigma(2, 2) + 1)
+        three = RatFunc.constant(2, 3)
+        assert 3 * r == r * 3 == three * r
+        assert 2 - r == RatFunc.constant(2, 2) - r
+        assert 1 / r == RatFunc.one(2) / r == r.inv()
+        assert 2 + r == r + 2
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +184,36 @@ class TestSpecAndElems:
         other.add_level(2, other.from_sigma_poly(sigma(2, 2)))
         with pytest.raises(ValueError, match="different tower"):
             a.generator(1) + other.generator(1)
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a - b, lambda a, b: b - a, lambda a, b: a * b,
+        lambda a, b: a / b, lambda a, b: a == b,
+    ], ids=["sub", "rsub", "mul", "truediv", "eq"])
+    def test_distinct_towers_rejected_by_every_operator(self, op):
+        a = quad_spec(attest=False)
+        other = TowerSpec(2)
+        other.add_level(2, other.from_sigma_poly(sigma(2, 2)))
+        with pytest.raises(ValueError, match="different tower"):
+            op(a.generator(1), other.generator(1))
+
+    def test_foreign_operands(self):
+        e = quad_spec().generator(1) + 1
+        with pytest.raises(TypeError):
+            e * object()
+        with pytest.raises(TypeError):
+            e + "a"
+        with pytest.raises(TypeError):
+            "a" - e
+        assert (e == "a") is False
+        assert e != "a"
+
+    def test_reflected_operators_match_forward_ones(self):
+        spec = quad_spec()
+        e = spec.generator(1) + sigma(2, 1)
+        assert 2 - e == spec.scalar(2, 1) - e == -(e - 2)
+        assert 1 / e == spec.one(1) / e == e.inverse()
+        assert 3 * e == e * 3 == spec.scalar(3) * e
+        assert 2 + e == e + 2
 
     def test_cubic_level_product_oracle(self, cubic):
         # y2 * y2^2 folds through y2^3 = p1
@@ -389,6 +445,33 @@ class TestAnnihilation:
         report = check_annihilation(cubic, 2, [5, 1])
         assert not report.annihilates
         assert report.remainder[1] == cubic.one(1)
+
+    @pytest.mark.parametrize("tower, level", [("cubic", 2), ("cubic", 3), ("quintic", 1)])
+    @pytest.mark.parametrize("degree", [
+        lambda k: k - 2, lambda k: k - 1, lambda k: k, lambda k: 2 * k, lambda k: 3 * k + 1,
+    ], ids=["k-2", "k-1", "k", "2k", "3k+1"])
+    def test_quotient_and_remainder_recombine_to_q(self, cubic, tower, level, degree):
+        # below degree k the quotient is empty; from degree 2k on, folded
+        # coefficients are folded again
+        spec = cubic if tower == "cubic" else quintic_spec()
+        k, rho = spec.ks[level - 1], spec.ps[level - 1]
+        below = level - 1
+        y = spec.generator(below) if below else spec.zero(0)
+        q = [spec.lift(spec.from_sigma_poly(sigma(spec.n, i % spec.n + 1) + i), below)
+             + (i + 1) * y for i in range(degree(k) + 1)]
+        report = check_annihilation(spec, level, q)
+        quo, rem = report.quotient, report.remainder
+        assert len(rem) == k
+        assert len(quo) == max(0, len(q) - k)
+        assert not quo or not quo[-1].is_zero()
+        total = rem + [spec.zero(below)] * len(quo)
+        for i, c in enumerate(quo):
+            total[i + k] = total[i + k] + c
+            total[i] = total[i] - c * rho
+        assert len(total) == max(k, len(q))
+        q += [spec.zero(below)] * (len(total) - len(q))
+        for got, want in zip(total, q):
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
