@@ -12,6 +12,13 @@ polynomials of radform.multipoly: a sparse dict from a packed monomial
 has no other fields) to a rational.  mul_terms is the one product loop,
 a monomial product being one key addition, and reduce_phi is the one
 reduction modulo Phi_N, rewriting w-exponents of phi(N) and above.
+
+The bases Frozen, Ring and Field hold the operators every number type
+of the package shares: Frozen refuses attribute assignment, Ring derives
+-, the reflected + and * and truthiness from a type's own +, unary -, *,
+is_zero and _coerce, and Field adds / and negative powers through inv.
+CycScalar, tower.RatFunc and tower.TowerElem are Fields; multipoly.MPoly
+is a Ring.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ __all__ = [
     "FIELD_BITS",
     "FIELD_MASK",
     "CycScalar",
+    "Field",
+    "Frozen",
+    "Ring",
     "coerced",
     "OrderMismatchError",
     "cyclotomic_poly",
@@ -58,6 +68,16 @@ def _prime_factors(k: int) -> list[int]:
             k //= d
         d += 1
     return out + [k] if k > 1 else out
+
+
+def _bezout_min_b(k: int, l: int):
+    """a, b with a*k + b*l = 1 and |b| minimal (positive b on a tie)."""
+    if math.gcd(k, l) != 1:
+        raise ValueError(f"{k} and {l} are not coprime")
+    b = pow(l, -1, k)
+    if b > k - b:
+        b -= k
+    return (1 - b * l) // k, b
 
 
 @functools.cache
@@ -168,13 +188,69 @@ def coerced(coerce):
     return decorate
 
 
-def _as_scalar(self, x):
-    if isinstance(x, (int, Fraction)):
-        return CycScalar(1, (x,))
-    return x if isinstance(x, CycScalar) else None
+class Frozen:
+    """Base of radform's immutable values: constructors fill the slots past
+    __setattr__ (object.__setattr__ or the slot descriptor), and nothing
+    rebinds them afterwards."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class CycScalar:
+_by_own_coerce = coerced(lambda self, other: self._coerce(other))
+
+
+class Ring(Frozen):
+    """The operators a commutative ring derives from its own __add__,
+    __neg__, __mul__, is_zero and _coerce (an operand in this ring, or None).
+    The reflected operators coerce first and then dispatch through the
+    subclass's forward operator, whatever it is bound to at call time."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    @_by_own_coerce
+    def __radd__(self, other):
+        return self + other
+
+    @_by_own_coerce
+    def __rmul__(self, other):
+        return self * other
+
+    @_by_own_coerce
+    def __sub__(self, other):
+        return self + (-other)
+
+    @_by_own_coerce
+    def __rsub__(self, other):
+        return other - self
+
+
+class Field(Ring):
+    """A Ring that also has inv(), and _one() for the zeroth power."""
+
+    __slots__ = ()
+
+    @_by_own_coerce
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    @_by_own_coerce
+    def __rtruediv__(self, other):
+        return other * self.inv()
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        base = self.inv() if exponent < 0 else self
+        return power(base, abs(exponent), base._one)
+
+
+class CycScalar(Field):
     """One element of Q(w_N), N = self.order."""
 
     __slots__ = ("order", "coeffs")
@@ -187,9 +263,6 @@ class CycScalar:
             cs = [reduced.get(j, _F0) for j in range(phi)]
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs + [_F0] * (phi - len(cs))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycScalar is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -228,9 +301,6 @@ class CycScalar:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -241,33 +311,29 @@ class CycScalar:
 
     # -- arithmetic --------------------------------------------------------
 
-    @coerced(_as_scalar)
+    def _coerce(self, x):
+        if isinstance(x, (int, Fraction)):
+            return CycScalar(1, (x,))
+        return x if isinstance(x, CycScalar) else None
+
+    def _one(self):
+        return CycScalar.one(self.order)
+
+    @coerced(_coerce)
     def __add__(self, other):
         a, b = self._common(other)
         return CycScalar(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CycScalar(self.order, tuple(-c for c in self.coeffs))
 
-    @coerced(_as_scalar)
-    def __sub__(self, other):
-        return self + (-other)
-
-    @coerced(_as_scalar)
-    def __rsub__(self, other):
-        return other + (-self)
-
-    @coerced(_as_scalar)
+    @coerced(_coerce)
     def __mul__(self, other):
         a, b = self._common(other)
         if a.order == 1:
             return CycScalar(1, (a.coeffs[0] * b.coeffs[0],))
         product = mul_terms(_sparse(a.coeffs), _sparse(b.coeffs), a.order)
         return CycScalar(a.order, [product.get(j, _F0) for j in range(len(a.coeffs))])
-
-    __rmul__ = __mul__
 
     def inv(self) -> "CycScalar":
         """x^-1 = adj(x) / N(x): adj(x) is the product of the conjugates
@@ -287,21 +353,7 @@ class CycScalar:
             raise AssertionError("the norm of a cyclotomic scalar is not rational")
         return CycScalar(n, [adj.get(j, _F0) / norm[0] for j in range(len(self.coeffs))])
 
-    @coerced(_as_scalar)
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    @coerced(_as_scalar)
-    def __rtruediv__(self, other):
-        return other * self.inv()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self.inv() if exponent < 0 else self
-        return power(base, abs(exponent), lambda: CycScalar.one(base.order))
-
-    @coerced(_as_scalar)
+    @coerced(_coerce)
     def __eq__(self, other):
         a, b = self._common(other)
         return a.coeffs == b.coeffs

@@ -37,6 +37,8 @@ from radform.cyclotomic import (
     FIELD_BITS,
     FIELD_MASK,
     CycScalar,
+    Frozen,
+    Ring,
     coerced,
     euler_phi,
     join_terms,
@@ -138,7 +140,7 @@ def _make(nvars, order, terms, den=1, poly=None) -> "MPoly":
     are dropped in place and a factor common to den and them divided out.
     Every MPoly is built here, so a term is touched again only when there
     is something to drop or divide, and the slots are set through their
-    descriptors (MPoly's own __setattr__ refuses)."""
+    descriptors (Frozen.__setattr__ refuses)."""
     poly = object.__new__(MPoly) if poly is None else poly
     if 0 in terms.values():
         for k in [k for k, c in terms.items() if not c]:
@@ -183,7 +185,7 @@ def _combine(p, q, sign):
     return out
 
 
-class MPoly:
+class MPoly(Ring):
     """Polynomial in nvars variables with exact cyclotomic coefficients."""
 
     __slots__ = ("nvars", "order", "_terms", "_den")
@@ -204,9 +206,6 @@ class MPoly:
             for w, c in _lift(c_terms, c_order, order).items():
                 packed[key + w] = packed.get(key + w, 0) + c * (den // c_den)
         _make(nvars, order, packed, den, self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
 
     @property
     def terms(self):
@@ -246,9 +245,6 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def total_degree(self) -> int:
         """Largest term degree; -1 for the zero polynomial."""
@@ -335,8 +331,6 @@ class MPoly:
             p, q = q, p
         return _make(self.nvars, order, _combine(p, q, 1), den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return _make(self.nvars, self.order, {k: -c for k, c in self._terms.items()}, self._den)
 
@@ -346,18 +340,12 @@ class MPoly:
         return _make(self.nvars, order, _combine(p, q, -1), den)
 
     @coerced(_coerce)
-    def __rsub__(self, other):
-        return other - self
-
-    @coerced(_coerce)
     def __mul__(self, other):
         p, q, order = self._aligned(other)
         if not p or not q:
             return MPoly.zero(self.nvars)
         _check_fields(p, q, self.nvars)
         return _make(self.nvars, order, mul_terms(p, q, order), self._den * other._den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Division by a nonzero scalar only."""
@@ -594,16 +582,13 @@ def sigma_images(n: int) -> types.MappingProxyType:
     return types.MappingProxyType({i: elem_sym(n, i) for i in range(1, n + 1)})
 
 
-class ElemSymBasisExpr:
+class ElemSymBasisExpr(Frozen):
     """A polynomial whose variables stand for sigma_1..sigma_n."""
 
     __slots__ = ("poly",)
 
     def __init__(self, poly: MPoly):
         object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ElemSymBasisExpr is immutable")
 
     def expand(self) -> MPoly:
         """Substitute the actual elementary symmetric polynomials back in."""
@@ -692,7 +677,7 @@ def _transition_counts(n: int, powers) -> dict:
 # exact polynomial k-th roots
 
 
-class _Verdict:
+class _Verdict(Frozen):
     __slots__ = ("name",)
 
     def __init__(self, name):

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 
-from radform.cyclotomic import CycScalar, project, root_of_unity
+from radform.cyclotomic import CycScalar, Frozen, _bezout_min_b, project, root_of_unity
 from radform.multipoly import MPoly, is_even_symmetric, permute_vars
 
 __all__ = [
@@ -41,7 +42,7 @@ class ClosureCapError(RuntimeError):
     """Group enumeration exceeded the brute-force element budget."""
 
 
-class Perm:
+class Perm(Frozen):
     """A permutation of {1..n} held as its tuple of images."""
 
     __slots__ = ("images",)
@@ -51,9 +52,6 @@ class Perm:
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Perm":
@@ -125,20 +123,7 @@ class Perm:
         return self.sign() == 1
 
     def sign(self) -> int:
-        seen = set()
-        sign = 1
-        for start in range(1, len(self.images) + 1):
-            if start in seen:
-                continue
-            length = 0
-            v = start
-            while v not in seen:
-                seen.add(v)
-                v = self(v)
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return (-1) ** sum(len(c) - 1 for c in self.cycles())
 
     def parity(self) -> str:
         return "even" if self.is_even() else "odd"
@@ -284,7 +269,7 @@ def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycSc
     raise ValueError("no q-th root of unity relates f to its permuted copy")
 
 
-class Character:
+class Character(Frozen):
     """Character data of one polynomial: values on alternating generators."""
 
     __slots__ = ("n", "q", "values", "source")
@@ -294,9 +279,6 @@ class Character:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "source", source)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Character is immutable")
 
     def is_trivial(self) -> bool:
         return all(v == CycScalar.one() for v in self.values.values())
@@ -336,28 +318,13 @@ def build_character(f: MPoly, q: int) -> Character:
 # triviality of characters on the alternating group
 
 
-def _ext_gcd_int(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
-class OracleRun:
+class OracleRun(Frozen):
     __slots__ = ("n", "group_size", "commutator_size")
 
     def __init__(self, n: int, group_size: int, commutator_size: int):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "group_size", group_size)
         object.__setattr__(self, "commutator_size", commutator_size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OracleRun is immutable")
 
     @property
     def perfect(self) -> bool:
@@ -408,9 +375,9 @@ def _perfectness_oracle(n: int) -> OracleRun:
 
 
 def _force_by_coprime_exponent(label: str, cycle_len: int, q: int) -> str:
-    g, a, b = _ext_gcd_int(cycle_len, q)
-    if g != 1:
+    if math.gcd(cycle_len, q) != 1:
         raise AssertionError(f"{cycle_len} and {q} are not coprime")
+    b, a = _bezout_min_b(q, cycle_len)
     return (
         f"chi({label})^{cycle_len} = 1 and chi({label})^{q} = 1; "
         f"{cycle_len}*({a}) + {q}*({b}) = 1 forces chi({label}) = 1"

@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from math import prod
 
-from radform.cyclotomic import CycScalar, _prime_factors, root_of_unity
+from radform.cyclotomic import CycScalar, _bezout_min_b, _prime_factors, root_of_unity
 from radform.formula import FormalRadicalFormula
 from radform.multipoly import (
     MPoly,
@@ -36,7 +36,6 @@ from radform.multipoly import (
     permute_vars,
     symmetrize,
 )
-from radform.permchar import _ext_gcd_int
 from radform.tower import (
     ATTESTED_UNKNOWN,
     AttestationError,
@@ -59,20 +58,6 @@ __all__ = [
     "resolvent_average",
     "telescope_average",
 ]
-
-
-def _bezout_min_b(k: int, l: int):
-    """a, b with a*k + b*l = 1 and |b| minimal (positive b on a tie)."""
-    g, _, t = _ext_gcd_int(k, l)
-    if g != 1:
-        raise ValueError(f"{k} and {l} are not coprime")
-    b = t % k
-    if b > k - b:
-        b -= k
-    a = (1 - b * l) // k
-    if a * k + b * l != 1:
-        raise AssertionError("bezout normalization broke the identity")
-    return a, b
 
 
 def _retag(e: TowerElem, spec: TowerSpec) -> TowerElem:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from radform.cyclotomic import CycScalar, _prime_factors, coerced, power
+from radform.cyclotomic import CycScalar, Field, Frozen, _prime_factors, coerced
 from radform.multipoly import (
     MPoly,
     NO_ROOT,
@@ -71,7 +71,7 @@ def _is_prime(k: int) -> bool:
     return _prime_factors(k) == [k]
 
 
-class RatFunc:
+class RatFunc(Field):
     """num/den with multivariate polynomial parts; den is never zero.
 
     No reduction is performed; comparisons cross-multiply.
@@ -88,9 +88,6 @@ class RatFunc:
             raise ValueError("numerator and denominator disagree on variables")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "RatFunc":
@@ -111,9 +108,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __bool__(self):
-        return not self.num.is_zero()
-
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
@@ -132,44 +126,20 @@ class RatFunc:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
     @coerced(_coerce)
-    def __sub__(self, other):
-        return self + (-other)
-
-    @coerced(_coerce)
-    def __rsub__(self, other):
-        return other + (-self)
-
-    @coerced(_coerce)
     def __mul__(self, other):
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def inv(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of the zero rational function")
         return RatFunc(self.den, self.num)
 
-    @coerced(_coerce)
-    def __truediv__(self, other):
-        return self * other.inv()
-
-    @coerced(_coerce)
-    def __rtruediv__(self, other):
-        return other * self.inv()
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        return RatFunc(self.num ** e, self.den ** e)
+    def _one(self):
+        return RatFunc.one(self.nvars)
 
     @coerced(_coerce)
     def __eq__(self, other):
@@ -306,7 +276,7 @@ def compatible(a: TowerSpec, b: TowerSpec, upto: int | None = None) -> bool:
     return all(a.ps[j]._same_payload(b.ps[j]) for j in range(limit))
 
 
-class TowerElem:
+class TowerElem(Field):
     """One element of the tower: a rational function at level 0, or a
     coefficient vector over the level below."""
 
@@ -330,9 +300,6 @@ class TowerElem:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "payload", payload)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TowerElem is immutable")
-
     @property
     def coords(self):
         if self.level == 0:
@@ -349,9 +316,6 @@ class TowerElem:
         if self.level == 0:
             return self.payload.is_zero()
         return all(c.is_zero() for c in self.payload)
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def _same_payload(self, other: "TowerElem") -> bool:
         if self.level != other.level:
@@ -386,22 +350,10 @@ class TowerElem:
             tuple(x + y for x, y in zip(a.payload, b.payload)),
         )
 
-    __radd__ = __add__
-
     def __neg__(self):
         if self.level == 0:
             return TowerElem(self.spec, 0, -self.payload)
         return TowerElem(self.spec, self.level, tuple(-c for c in self.payload))
-
-    @coerced(_coerce)
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return a + (-b)
-
-    @coerced(_coerce)
-    def __rsub__(self, other):
-        a, b = self._pair(other)
-        return b + (-a)
 
     @coerced(_coerce)
     def __mul__(self, other):
@@ -421,23 +373,8 @@ class TowerElem:
         _fold(raw, k, a.spec.ps[a.level - 1])
         return TowerElem(a.spec, a.level, tuple(raw))
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        base = self.inverse() if e < 0 else self
-        return power(base, abs(e), lambda: self.spec.one(self.level))
-
-    @coerced(_coerce)
-    def __truediv__(self, other):
-        a, b = self._pair(other)
-        return a * b.inverse()
-
-    @coerced(_coerce)
-    def __rtruediv__(self, other):
-        a, b = self._pair(other)
-        return b * a.inverse()
+    def _one(self):
+        return self.spec.one(self.level)
 
     @coerced(_coerce)
     def __eq__(self, other):
@@ -490,6 +427,8 @@ class TowerElem:
         if not (self * adj == x):
             raise AssertionError("inverse failed its own check")
         return adj * TowerElem(spec, 0, x.payload.inv())
+
+    inv = inverse
 
     # -- display -----------------------------------------------------------
 
@@ -570,7 +509,7 @@ def conjugate(e: TowerElem, j: int, power: int) -> TowerElem:
 # nonpower checking
 
 
-class NonpowerResult:
+class NonpowerResult(Frozen):
     __slots__ = ("level", "k", "status", "root", "detail")
 
     def __init__(self, level: int, k: int, status: str, root: TowerElem | None = None,
@@ -580,9 +519,6 @@ class NonpowerResult:
         object.__setattr__(self, "status", status)  # "verified" | "refuted" | "undecided"
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NonpowerResult is immutable")
 
 
 def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:

@@ -14,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -101,3 +102,51 @@ def test_terms_view_shape():
     with pytest.raises(TypeError):
         view[(0, 0)] = 1
     assert f.terms is not view
+
+
+def _operands():
+    from radform.formula import parse
+
+    doc = parse((ROOT / "fixtures" / "degree2.tower").read_text())
+    return types.SimpleNamespace(
+        w=root_of_unity(3, 3), x=MPoly.variable(2, 1), y1=doc.spec.generator(1)
+    )
+
+
+# (expression, calls it books, whether those are all its traced calls); the
+# reflected and derived operators live in radform.cyclotomic's Ring and Field
+# bases, outside the class bodies install() patches, and must still reach
+# the wrapped forward methods
+OPERATOR_CALLS = [
+    ("1 + w", {"cyclotomic.CycScalar.add": 1}, True),
+    ("w - 1", {"cyclotomic.CycScalar.add": 1}, True),
+    ("1 - w", {"cyclotomic.CycScalar.add": 1}, True),
+    ("2 * w", {"cyclotomic.CycScalar.mul": 1}, True),
+    ("w / 2", {"cyclotomic.CycScalar.mul": 1, "cyclotomic.CycScalar.inv": 1}, True),
+    ("2 / w", {"cyclotomic.CycScalar.mul": 1, "cyclotomic.CycScalar.inv": 1}, True),
+    ("w ** -1", {"cyclotomic.CycScalar.inv": 1}, True),
+    ("1 + x", {"multipoly.MPoly.add": 1}, True),
+    ("2 * x", {"multipoly.MPoly.mul": 1}, True),
+    ("1 - x", {}, True),
+    ("1 / y1", {"tower.TowerElem.inverse": 1}, False),
+    ("y1 ** -1", {"tower.TowerElem.inverse": 1}, False),
+]
+
+
+@pytest.mark.parametrize("expression, booked, complete", OPERATOR_CALLS,
+                         ids=[case[0] for case in OPERATOR_CALLS])
+def test_derived_operators_book_the_wrapped_methods(expression, booked, complete):
+    import radform.cli  # noqa: F401  (loads every module the tracer patches)
+
+    operands = vars(_operands())
+    t = tracer.Tracer()
+    t.install()
+    try:
+        eval(expression, {}, operands)
+    finally:
+        t.uninstall()
+    calls = {name: n for name, n in t.summary()["calls"].items() if n}
+    if complete:
+        assert calls == booked
+    else:
+        assert {name: calls.get(name, 0) for name in booked} == booked

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from radform.cyclotomic import CycScalar, root_of_unity
-from radform.multipoly import MPoly, is_even_symmetric
+from radform.cyclotomic import CycScalar, Frozen, root_of_unity
+from radform.multipoly import NO_ROOT, MPoly, is_even_symmetric, symmetrize
 from radform.permchar import (
     Character,
     ClosureCapError,
@@ -279,14 +279,22 @@ def test_triviality_rejects_tiny_n():
         verify_hom_trivial(2, 2)
 
 
-@pytest.mark.parametrize("make, field", [
-    (lambda: verify_hom_trivial(3, 3).counterexample, "values"),
-    (lambda: verify_hom_trivial(5, 2).oracle_runs[0], "group_size"),
-    (lambda: NonpowerResult(1, 2, "undecided"), "status"),
-], ids=["Character", "OracleRun", "NonpowerResult"])
+FROZEN_RECORDS = {
+    "Character": (lambda: verify_hom_trivial(3, 3).counterexample, "values"),
+    "OracleRun": (lambda: verify_hom_trivial(5, 2).oracle_runs[0], "group_size"),
+    "NonpowerResult": (lambda: NonpowerResult(1, 2, "undecided"), "status"),
+    "Perm": (lambda: Perm.identity(3), "images"),
+    "ElemSymBasisExpr": (lambda: symmetrize(MPoly.variable(2, 1) + MPoly.variable(2, 2)), "poly"),
+    "_Verdict": (lambda: NO_ROOT, "name"),
+}
+
+
+@pytest.mark.parametrize("make, field", FROZEN_RECORDS.values(), ids=FROZEN_RECORDS)
 def test_result_records_refuse_assignment(make, field):
     record = make()
+    name = type(record).__name__
+    assert isinstance(record, Frozen) and name in FROZEN_RECORDS
     before = getattr(record, field)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         setattr(record, field, None)
     assert getattr(record, field) is before
