@@ -12,7 +12,7 @@ PYTHONDONTWRITEBYTECODE is recorded because it decides whether a run
 writes and reuses bytecode caches in its tree.
 
 Prints one JSON object: {"environment": {...}, "end_to_end": {workload:
-{"summary": ..., "runs": [...]}}}, the `end_to_end` block of a
+{"summary": ..., "rss_at_equal_ops": ..., "runs": [...]}}}, the `end_to_end` block of a
 BENCH_<pr>.json file.  Per metric of BENCHMARK.json (at CHANGE) the
 summary gives both medians, the quartiles (statistics.quantiles,
 method="inclusive") and the parent's IQR, the wins (a strictly better
@@ -23,7 +23,11 @@ pairs, ties counting for neither side, and its median is better than the
 parent's by more than the parent's IQR).  Each run
 records its seed, side, attempted and failed ops, every metric, and
 `src_lines`, the line count of src/radform/*.py in its tree, so the size
-of the package sits next to its timings.  The
+of the package sits next to its timings.  Next to the summary,
+"rss_at_equal_ops" fits peak_rss_mb against the ops attempted over all
+runs (least squares, in KB per op) and moves the change's median peak RSS
+along that slope to the parent's median op count: a worker that keeps
+one record per op reads more memory for every extra op it completes.  The
 workloads are those of BENCHMARK.json, all by default.  With no
 revisions it prints this help.
 """
@@ -102,6 +106,27 @@ def summarize(runs, spec):
     return summary
 
 
+def rss_at_equal_ops(runs):
+    """The slope of peak_rss_mb against attempted ops over all runs (None
+    when every run attempted as many), and the change's median peak RSS
+    moved along it to the parent's median op count."""
+    ops, rss = [r["attempted"] for r in runs], [r["peak_rss_mb"] for r in runs]
+    slope = statistics.linear_regression(ops, rss).slope if len(set(ops)) > 1 else None
+    median = {s: {key: statistics.median(r[key] for r in runs if r["side"] == s)
+                  for key in ("attempted", "peak_rss_mb")} for s in ("parent", "change")}
+    parent, change = median["parent"], median["change"]
+    moved = change["peak_rss_mb"] - (slope or 0.0) * (change["attempted"] - parent["attempted"])
+    return {
+        "slope_kb_per_op": None if slope is None else slope * 1024,
+        "parent_median_attempted": parent["attempted"],
+        "change_median_attempted": change["attempted"],
+        "parent_median_peak_rss_mb": parent["peak_rss_mb"],
+        "change_median_peak_rss_mb": change["peak_rss_mb"],
+        "change_peak_rss_mb_at_parent_ops": moved,
+        "change_frac_at_parent_ops": moved / parent["peak_rss_mb"] - 1,
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -142,6 +167,7 @@ def main():
                 print(f"{workload} pair {i} {side}: attempted {line['attempted']}, "
                       f"failed {line['failed']}", file=sys.stderr, flush=True)
         result["end_to_end"][workload] = {"summary": summarize(runs, spec["end_to_end"]),
+                                          "rss_at_equal_ops": rss_at_equal_ops(runs),
                                           "runs": runs}
     print(json.dumps(result, indent=1))
     return 0

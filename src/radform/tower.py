@@ -10,6 +10,11 @@ level j - 1, so everything reduces to exact polynomial arithmetic.
 Rational functions are kept as raw numerator/denominator pairs: equality
 goes through cross-multiplication and nothing ever computes a gcd.
 
+Each operator coerces its operand once (a TowerElem lifts it to the higher
+of the two levels); the payload arithmetic below it (_add, _mul, and _eq or
+_same_payload for ==) runs on the coordinates of one level with no operator
+dispatch, and a product sums into empty slots, never into a zero.
+
 Division goes through the absolute norm: a^-1 = adj(a) / N(a), where
 adj(a) multiplies the nontrivial conjugates of a level by level down the
 tower and N(a) = a * adj(a) lies in F_0.  Everything up to the one
@@ -118,20 +123,23 @@ class RatFunc(Field):
         except TypeError:
             return None
 
-    @coerced(_coerce)
-    def __add__(self, other):
+    def _add(self, other):
         if self.den == other.den:
             return RatFunc(self.num + other.num, self.den)
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
+    def _mul(self, other):
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    def _eq(self, other):
+        return self.num * other.den == other.num * self.den
+
+    __add__, __mul__, __eq__ = map(coerced(_coerce), (_add, _mul, _eq))
+
     def __neg__(self):
         return RatFunc(-self.num, self.den)
-
-    @coerced(_coerce)
-    def __mul__(self, other):
-        return RatFunc(self.num * other.num, self.den * other.den)
 
     def inv(self) -> "RatFunc":
         if self.num.is_zero():
@@ -140,10 +148,6 @@ class RatFunc(Field):
 
     def _one(self):
         return RatFunc.one(self.nvars)
-
-    @coerced(_coerce)
-    def __eq__(self, other):
-        return self.num * other.den == other.num * self.den
 
     def as_poly(self) -> MPoly | None:
         """num/den as a polynomial when den divides num exactly, else None."""
@@ -321,7 +325,7 @@ class TowerElem(Field):
         if self.level != other.level:
             return False
         if self.level == 0:
-            return self.payload == other.payload
+            return self.payload._eq(other.payload)
         return all(a._same_payload(b) for a, b in zip(self.payload, other.payload))
 
     # -- arithmetic --------------------------------------------------------
@@ -342,13 +346,7 @@ class TowerElem(Field):
     @coerced(_coerce)
     def __add__(self, other):
         a, b = self._pair(other)
-        if a.level == 0:
-            return TowerElem(a.spec, 0, a.payload + b.payload)
-        return TowerElem(
-            a.spec,
-            a.level,
-            tuple(x + y for x, y in zip(a.payload, b.payload)),
-        )
+        return a._add(b)
 
     def __neg__(self):
         if self.level == 0:
@@ -358,20 +356,7 @@ class TowerElem(Field):
     @coerced(_coerce)
     def __mul__(self, other):
         a, b = self._pair(other)
-        if a.level == 0:
-            return TowerElem(a.spec, 0, a.payload * b.payload)
-        k = a.spec.ks[a.level - 1]
-        zero = a.spec.zero(a.level - 1)
-        raw = [zero] * (2 * k - 1)
-        for i, ca in enumerate(a.payload):
-            if ca.is_zero():
-                continue
-            for j, cb in enumerate(b.payload):
-                if cb.is_zero():
-                    continue
-                raw[i + j] = raw[i + j] + ca * cb
-        _fold(raw, k, a.spec.ps[a.level - 1])
-        return TowerElem(a.spec, a.level, tuple(raw))
+        return a._mul(b)
 
     def _one(self):
         return self.spec.one(self.level)
@@ -380,6 +365,29 @@ class TowerElem(Field):
     def __eq__(self, other):
         a, b = self._pair(other)
         return a._same_payload(b)
+
+    def _add(self, other):
+        if self.level == 0:
+            return TowerElem(self.spec, 0, self.payload._add(other.payload))
+        coords = map(TowerElem._add, self.payload, other.payload)
+        return TowerElem(self.spec, self.level, coords)
+
+    def _mul(self, other):
+        """The product of two coordinate vectors of one level, summed into
+        empty (None) slots and folded modulo y^k - rho."""
+        spec, level = self.spec, self.level
+        if level == 0:
+            return TowerElem(spec, 0, self.payload._mul(other.payload))
+        k = spec.ks[level - 1]
+        raw = [None] * (2 * k - 1)
+        for i, ca in enumerate(self.payload):
+            if ca.is_zero():
+                continue
+            for j, cb in enumerate(other.payload):
+                if not cb.is_zero():
+                    raw[i + j] = _accumulate(raw[i + j], ca._mul(cb))
+        _fold(raw, k, spec.ps[level - 1])
+        return TowerElem(spec, level, raw)
 
     def inverse(self) -> "TowerElem":
         """Multiplicative inverse through the absolute norm: a^-1 = adj(a) / N(a).
@@ -462,16 +470,25 @@ def _scalar_like(x):
     return isinstance(x, (int, Fraction, CycScalar, MPoly, RatFunc))
 
 
+def _accumulate(slot, term: TowerElem) -> TowerElem:
+    return term if slot is None else slot._add(term)
+
+
 def _fold(raw: list, k: int, rho: TowerElem) -> list:
     """Reduce the coefficient list raw modulo y^k - rho in place: from the
-    top, y^m becomes y^(m-k) * rho, zero coefficients skipped.  raw keeps
-    its k low coefficients, and the folded ones come back as the quotient,
-    lowest degree first."""
+    top, y^m becomes y^(m-k) * rho, empty (None) and zero coefficients
+    skipped.  raw keeps its k low coefficients, the empty ones filled with
+    zero, and the folded ones come back as the quotient, lowest degree
+    first."""
     for m in range(len(raw) - 1, k - 1, -1):
-        if not raw[m].is_zero():
-            raw[m - k] = raw[m - k] + raw[m] * rho
+        c = raw[m]
+        if c is not None and not c.is_zero():
+            raw[m - k] = _accumulate(raw[m - k], c._mul(rho))
     quotient = raw[k:]
     del raw[k:]
+    if any(c is None for c in raw):
+        zero = rho.spec.zero(rho.level)
+        raw[:] = [zero if c is None else c for c in raw]
     return quotient
 
 
@@ -616,7 +633,7 @@ def check_annihilation(spec: TowerSpec, level: int, q_coeffs) -> AnnihilationRep
     k = spec.ks[below]
     rho = spec.ps[below]
     rem = [spec.lift(spec._coerce_elem(c), below) for c in q_coeffs]
-    rem += [spec.zero(below)] * (k - len(rem))
+    rem += [None] * (k - len(rem))
     quo = _fold(rem, k, rho)
     while quo and quo[-1].is_zero():
         quo.pop()

@@ -128,6 +128,8 @@ OPERATOR_CALLS = [
     ("1 + x", {"multipoly.MPoly.add": 1}, True),
     ("2 * x", {"multipoly.MPoly.mul": 1}, True),
     ("1 - x", {}, True),
+    # coordinate products run below the traced operator
+    ("y1 * y1", {"tower.TowerElem.mul": 1}, False),
     ("1 / y1", {"tower.TowerElem.inverse": 1}, False),
     ("y1 ** -1", {"tower.TowerElem.inverse": 1}, False),
 ]

@@ -1,6 +1,7 @@
 """Every script under scripts/ runs to completion, the character survey
 prints the character tables recorded below, and bench_pairs judges a
-claimed gain by its pairs and counts the package's lines."""
+claimed gain by its pairs, counts the package's lines and reads peak RSS
+at equal op counts."""
 
 import importlib.util
 import os
@@ -105,3 +106,38 @@ def test_bench_pairs_counts_package_lines(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     (package / "sub" / "c.py").write_text("not counted\n")
     assert load_bench_pairs().src_lines(tmp_path) == 4
+
+
+def rss_runs(parent_ops, change_ops, change_extra_mb):
+    """Runs on the line 20 MB + 0.25 MB (256 KB) per op, the change's
+    raised by change_extra_mb."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent_ops, change_ops)):
+        runs.append({"pair": i, "side": "parent", "attempted": p, "peak_rss_mb": 20 + p / 4})
+        runs.append({"pair": i, "side": "change", "attempted": c,
+                     "peak_rss_mb": 20 + c / 4 + change_extra_mb})
+    return runs
+
+
+def test_bench_pairs_rss_at_equal_ops():
+    # more ops alone: the change's median moves back onto the parent's
+    block = load_bench_pairs().rss_at_equal_ops(rss_runs([10, 12, 14], [16, 20, 22], 0))
+    assert (block["parent_median_attempted"], block["change_median_attempted"]) == (12, 20)
+    assert (block["parent_median_peak_rss_mb"], block["change_median_peak_rss_mb"]) == (23, 25)
+    assert block["slope_kb_per_op"] == pytest.approx(256)
+    assert block["change_peak_rss_mb_at_parent_ops"] == pytest.approx(23)
+    assert block["change_frac_at_parent_ops"] == pytest.approx(0)
+    # memory of the change's own stays when the op counts are equal
+    block = load_bench_pairs().rss_at_equal_ops(rss_runs([10, 12, 14], [10, 12, 14], 2.3))
+    assert block["slope_kb_per_op"] == pytest.approx(256)
+    assert block["change_peak_rss_mb_at_parent_ops"] == pytest.approx(25.3)
+    assert block["change_frac_at_parent_ops"] == pytest.approx(0.1)
+
+
+def test_bench_pairs_rss_slope_undefined_at_one_op_count():
+    runs = [{"pair": 0, "side": side, "attempted": 100, "peak_rss_mb": rss}
+            for side, rss in (("parent", 20.0), ("change", 21.0))]
+    block = load_bench_pairs().rss_at_equal_ops(runs)
+    assert block["slope_kb_per_op"] is None
+    assert block["change_peak_rss_mb_at_parent_ops"] == 21.0
+    assert block["change_frac_at_parent_ops"] == pytest.approx(0.05)

@@ -13,6 +13,7 @@ and are frozen here:
     then (s1 + y2 + y3)/3 expands to x1.
 """
 
+import hashlib
 import pathlib
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from radform.tower import (
     ATTESTED_VERIFIED,
     AttestationError,
     RatFunc,
+    TowerElem,
     TowerSpec,
     check_annihilation,
     conjugate,
@@ -225,6 +227,152 @@ class TestSpecAndElems:
         y2 = cubic.generator(2)
         text = (y2 ** 2 + 3 * y2).render()
         assert "y2^2" in text and "3*y2" in text
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the payload arithmetic against a schoolbook product
+
+
+def one_level_spec(k):
+    """y1^k = s1^2 - 4*s2 over two sigma-variables, verified nonpower."""
+    spec = TowerSpec(2)
+    spec.add_level(k, spec.from_sigma_poly(sigma(2, 1) ** 2 - 4 * sigma(2, 2)))
+    assert nonpower_check(spec, 1).status == "verified"
+    spec.set_attestation(1, ATTESTED_VERIFIED)
+    return spec
+
+
+def random_elem(spec, level, rng, dens=False):
+    """A seeded element of the given level.  Each coordinate is zero one
+    time in five; a level-0 value is a small rational combination of 1 and
+    the sigma-variables, and with dens set, half of them are over s1 + c
+    for a random c."""
+    if level == 0:
+        n = spec.n
+        basis = [MPoly.constant(n, 1)] + [sigma(n, i) for i in range(1, n + 1)]
+        num = sum((Fraction(rng.randint(-3, 3), rng.choice((1, 2))) * b for b in basis),
+                  MPoly.zero(n))
+        den = sigma(n, 1) + rng.randint(1, 3) if dens and rng.random() < 0.5 else None
+        return TowerElem(spec, 0, RatFunc(num, den))
+    return TowerElem(spec, level, [
+        random_elem(spec, level - 1, rng, dens) if rng.random() < 0.8 else spec.zero(level - 1)
+        for _ in range(spec.ks[level - 1])
+    ])
+
+
+def schoolbook_add(a, b):
+    if a.level == 0:
+        return a + b
+    return TowerElem(a.spec, a.level, map(schoolbook_add, a.coords, b.coords))
+
+
+def schoolbook_mul(a, b):
+    """a * b for elements of one level, with only level-0 operators doing
+    arithmetic: convolve the coordinates, then fold y^k -> rho from the top."""
+    if a.level == 0:
+        return a * b
+    spec, k = a.spec, a.spec.ks[a.level - 1]
+    raw = [spec.zero(a.level - 1)] * (2 * k - 1)
+    for i, ca in enumerate(a.coords):
+        for j, cb in enumerate(b.coords):
+            raw[i + j] = schoolbook_add(raw[i + j], schoolbook_mul(ca, cb))
+    rho = spec.ps[a.level - 1]
+    for m in range(2 * k - 2, k - 1, -1):
+        raw[m - k] = schoolbook_add(raw[m - k], schoolbook_mul(raw[m], rho))
+    return TowerElem(spec, a.level, raw[:k])
+
+
+def differential_cases():
+    """(spec, level, dens) for k = 2, 3, 5 and levels 2 and 3 of the fixture."""
+    fixture = parse(DEGREE3_TOWER.read_text()).spec
+    return [(one_level_spec(k), 1, True) for k in (2, 3, 5)] + [
+        (fixture, 2, True), (fixture, 3, False)]
+
+
+# sha1 of the renderings of INVERSE_COUNT seeded level-1 inverses (k = 2
+# and 3 with denominators in every other element, k = 5 without), as tower
+# products computed them with one operator call per coordinate
+INVERSE_COUNT, INVERSE_RENDER_SHA1 = 100, "101d7f5ad47bc16c14d8e20bac366f388571f105"
+
+
+class TestPayloadArithmetic:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return differential_cases()
+
+    def test_products_match_schoolbook(self, cases):
+        rng = random.Random(151)
+        for spec, level, dens in cases:
+            for _ in range(3 if level < 3 else 1):
+                a, b = (random_elem(spec, level, rng, dens) for _ in range(2))
+                assert a * b == schoolbook_mul(a, b)
+                assert a + b == schoolbook_add(a, b)
+
+    def test_ring_axioms(self, cases):
+        rng = random.Random(152)
+        for spec, level, dens in cases:
+            a, b, c = (random_elem(spec, level, rng, dens) for _ in range(3))
+            assert a * b == b * a and a + b == b + a
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+            assert (a - a).is_zero() and a * spec.one(level) == a
+            assert (a * spec.zero(level)).is_zero()
+
+    def test_mixed_operands(self, cases):
+        rng = random.Random(153)
+        for spec, level, dens in cases:
+            a = random_elem(spec, level, rng, dens)
+            low = random_elem(spec, level - 1, rng, dens)
+            lifted = spec.lift(low, level)
+            assert a * low == low * a == schoolbook_mul(a, lifted)
+            assert a + low == low + a == schoolbook_add(a, lifted)
+            poly = sigma(spec.n, 1) - 2
+            rf = RatFunc(sigma(spec.n, 2), poly)
+            for value, elem in [
+                (3, spec.scalar(3, level)),
+                (Fraction(-2, 3), spec.scalar(Fraction(-2, 3), level)),
+                (poly, spec.lift(spec.from_sigma_poly(poly), level)),
+                (rf, spec.lift(spec.from_ratfunc(rf), level)),
+            ]:
+                assert a * value == value * a == schoolbook_mul(a, elem)
+                assert a + value == value + a == schoolbook_add(a, elem)
+                assert a - value == schoolbook_add(a, -elem)
+
+    def test_inverse_multiplies_back_to_one(self, cases):
+        # polynomial coordinates: a product with coordinates over different
+        # denominators grows without bound (ROADMAP item 1)
+        rng = random.Random(154)
+        for spec, level, _ in cases[:3]:
+            for _ in range(3):
+                e = random_elem(spec, level, rng)
+                if not e.is_zero():
+                    assert e * e.inverse() == spec.one(level)
+        fixture = cases[3][0]
+        e = random_elem(fixture, 2, random.Random(2))
+        assert e * e.inverse() == fixture.one(2)
+
+    def test_seeded_inverse_renderings_unchanged(self, cases):
+        rng = random.Random(155)
+        renders = []
+        for i in range(INVERSE_COUNT):
+            spec = cases[i % 3][0]
+            e = random_elem(spec, 1, rng, dens=i % 3 != 2 and i % 2 == 0)
+            if not e.is_zero():
+                renders.append(e.inverse().render())
+        digest = hashlib.sha1("\n".join(renders).encode()).hexdigest()
+        assert digest == INVERSE_RENDER_SHA1
+
+    def test_constructor_checks(self):
+        spec = one_level_spec(2)
+        zero0 = spec.zero(0)
+        with pytest.raises(ValueError, match="^level-1 vector needs 2 coordinates$"):
+            TowerElem(spec, 1, [zero0])
+        with pytest.raises(ValueError, match="^coordinates must live one level down$"):
+            TowerElem(spec, 1, [spec.zero(1), zero0])
+        with pytest.raises(ValueError, match="^level 2 exceeds tower height 1$"):
+            TowerElem(spec, 2, [spec.zero(1)] * 2)
+        with pytest.raises(TypeError, match="^level-0 payload must be a rational function$"):
+            TowerElem(spec, 0, sigma(2, 1))
 
 
 # ---------------------------------------------------------------------------
