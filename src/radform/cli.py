@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 
-from radform.cyclotomic import root_of_unity
+from radform.cyclotomic import ORDER_CAP, root_of_unity
 from radform.dsl import (
     DslError,
     PolyContext,
@@ -144,6 +144,8 @@ def _unit_power(value, q: int) -> str:
 def cmd_character(config: CliConfig, expr: str, q: int, perms) -> int:
     if q < 1:
         return _fail(f"q must be a positive integer, got {q}", 2)
+    if q > ORDER_CAP:
+        return _fail(f"q = {q} exceeds the root-of-unity order cap {ORDER_CAP}", 2)
     n = max(max_name_index(expr, "x"), 1)
     for text in perms:
         for digits in re.findall(r"\d+", text):

@@ -30,6 +30,7 @@ from fractions import Fraction
 __all__ = [
     "FIELD_BITS",
     "FIELD_MASK",
+    "ORDER_CAP",
     "CycScalar",
     "Field",
     "Frozen",
@@ -52,6 +53,8 @@ _F1 = Fraction(1)
 
 FIELD_BITS = 32
 FIELD_MASK = (1 << FIELD_BITS) - 1
+# the largest order root_of_unity builds (an inverse in Q(w_N) costs N phi(N)^2)
+ORDER_CAP = 100
 
 
 class OrderMismatchError(ValueError):
@@ -374,6 +377,8 @@ def root_of_unity(q: int, order: int) -> CycScalar:
     """w_q expressed inside Q(w_order); q must divide order."""
     if q < 1 or order < 1:
         raise ValueError("root orders must be positive")
+    if order > ORDER_CAP:
+        raise ValueError(f"root-of-unity order {order} exceeds the cap {ORDER_CAP}")
     if order % q:
         raise OrderMismatchError(f"{q} does not divide the ambient order {order}")
     return CycScalar(order, [_F0] * (order // q) + [_F1])

@@ -309,7 +309,10 @@ class _Parser:
                 if q < 1:
                     raise DslError("root-of-unity order must be positive", qtok.line, qtok.col)
                 self.expect_op(")")
-                return self.ctx.unity_root(q)
+                try:
+                    return self.ctx.unity_root(q)
+                except ValueError as err:
+                    raise DslError(str(err), qtok.line, qtok.col) from None
             return self.ctx.variable(tok.value, tok)
         if tok.kind == "OP" and tok.value == "(":
             value = self.expr()

@@ -141,7 +141,6 @@ def _make(nvars, order, terms, den=1, poly=None) -> "MPoly":
     Every MPoly is built here, so a term is touched again only when there
     is something to drop or divide, and the slots are set through their
     descriptors (Frozen.__setattr__ refuses)."""
-    poly = object.__new__(MPoly) if poly is None else poly
     if 0 in terms.values():
         for k in [k for k, c in terms.items() if not c]:
             del terms[k]
@@ -151,6 +150,12 @@ def _make(nvars, order, terms, den=1, poly=None) -> "MPoly":
             terms[k] //= g
     if order > 1 and not any(k & FIELD_MASK for k in terms):
         order = 1
+    return _new(nvars, order, terms, den, poly)
+
+
+def _new(nvars, order, terms, den, poly=None) -> "MPoly":
+    """The polynomial with these slots, terms already in _make's form."""
+    poly = object.__new__(MPoly) if poly is None else poly
     _set_nvars(poly, nvars)
     _set_order(poly, order)
     _set_terms(poly, terms)
@@ -506,57 +511,81 @@ def evaluate(f: MPoly, point) -> CycScalar:
 # variable permutation and symmetry tests
 
 
-def _perm_images(alpha, nvars):
-    images = getattr(alpha, "images", alpha)
-    images = tuple(int(i) for i in images)
+@functools.lru_cache(maxsize=1024)
+def _action(images: tuple, nvars: int):
+    """x_i -> x_images[i-1] on packed keys, validated once per (images,
+    nvars): the mask of the fields it keeps, and per distance moved the
+    mask of the fields moved and the shift (right when negative)."""
     if sorted(images) != list(range(1, nvars + 1)):
         raise ValueError(f"{images} is not a permutation of 1..{nvars}")
-    return images
+    shifts = {}
+    for i, m in enumerate(images, 1):
+        if m != i:
+            shifts[i - m] = shifts.get(i - m, 0) | FIELD_MASK << _shift(nvars, i)
+    return ~sum(shifts.values()), tuple((mask, FIELD_BITS * d) for d, mask in shifts.items())
+
+
+def _relabelled(f: MPoly, images: tuple) -> dict:
+    """f's term dict with x_i -> x_images[i-1].  A relabelling is a bijection
+    on monomials, so no two keys meet and nothing needs normalising; it
+    keeps order and denominator, so f is fixed iff the dicts are equal."""
+    keep, moves = _action(images, f.nvars)
+    out = {}
+    for k, c in f._terms.items():
+        new = k & keep
+        for mask, s in moves:
+            new |= (k & mask) << s if s > 0 else (k & mask) >> -s
+        out[new] = c
+    return out
 
 
 def permute_vars(f: MPoly, alpha) -> MPoly:
     """f with variable i replaced by x_alpha(i); alpha gives 1-based images."""
+    return _new(f.nvars, f.order, _relabelled(f, tuple(getattr(alpha, "images", alpha))), f._den)
+
+
+def _cycle(n: int, *cycle) -> tuple:
+    """The image tuple of one cycle on 1..n."""
+    images = list(range(1, n + 1))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        images[a - 1] = b
+    return tuple(images)
+
+
+@functools.cache
+def _generators(n: int, even: bool) -> tuple:
+    """Image tuples of the two generators of S_n named by is_symmetric, or if
+    even of A_n named by is_even_symmetric; none for a trivial group."""
+    if n < 2 + even:
+        return ()
+    first = _cycle(n, 1, 2, 3) if even else _cycle(n, 1, 2)
+    long = _cycle(n, *range(2 if even and n % 2 == 0 else 1, n + 1))
+    return tuple({first, long})
+
+
+def _invariant(f, even, witness):
+    """is_symmetric, or if even is_even_symmetric."""
     n = f.nvars
-    images = _perm_images(alpha, n)
-    moves = [(_shift(n, i), _shift(n, m)) for i, m in enumerate(images, 1) if m != i]
-    keep = ~sum(FIELD_MASK << src for src, _ in moves)
-    out = {}
-    for k, c in f._terms.items():
-        new = k & keep
-        for src, dst in moves:
-            new |= (k >> src & FIELD_MASK) << dst
-        out[new] = c
-    return _make(n, f.order, out, f._den)
-
-
-def _invariant(f, generators, witness):
-    for g in generators:
-        if permute_vars(f, g) != f:
-            return (False, g) if witness else False
-    return (True, None) if witness else True
+    if all(_relabelled(f, g) == f._terms for g in _generators(n, even)):
+        return (True, None) if witness else True
+    listed = (_cycle(n, 1, 2, m) if even else _cycle(n, 1, m) for m in range(2 + even, n + 1))
+    return (False, next(g for g in listed if _relabelled(f, g) != f._terms)) if witness else False
 
 
 def is_symmetric(f: MPoly, witness: bool = False):
-    """Invariance under all of S_n, tested on the transpositions (1 m)."""
-    n = f.nvars
-    return _invariant(f, (
-        (m,) + tuple(range(2, m)) + (1,) + tuple(range(m + 1, n + 1))
-        for m in range(2, n + 1)
-    ), witness)
+    """Invariance under all of S_n, tested on its generators (1 2) and
+    (1 2 ... n).  On failure the witness is the first transposition
+    (1 m), m = 2..n, that moves f, as an image tuple."""
+    return _invariant(f, False, witness)
 
 
 def is_even_symmetric(f: MPoly, witness: bool = False):
-    """Invariance under the even permutations, tested on the cycles (1 2 m).
-
-    Those three-cycles generate the alternating group, so checking the
-    generators settles the whole group.  With fewer than three variables
-    the group is trivial and everything passes.
-    """
-    n = f.nvars
-    return _invariant(f, (
-        (2, m) + tuple(range(3, m)) + (1,) + tuple(range(m + 1, n + 1))
-        for m in range(3, n + 1)
-    ), witness)
+    """Invariance under the even permutations, tested on two generators of
+    the alternating group A_n: (1 2 3) with (1 2 ... n) for odd n, or with
+    (2 3 ... n) for even n.  On failure the witness is the first
+    three-cycle (1 2 m), m = 3..n, that moves f, as an image tuple.  With
+    fewer than three variables the group is trivial and everything passes."""
+    return _invariant(f, True, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,11 @@ normal closure, is all of A_n for n = 5, 6).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 
-from radform.cyclotomic import CycScalar, Frozen, _bezout_min_b, project, root_of_unity
-from radform.multipoly import MPoly, is_even_symmetric, permute_vars
+from radform.cyclotomic import CycScalar, Frozen, _bezout_min_b, root_of_unity
+from radform.multipoly import MPoly, _generators, _new, _relabelled
 
 __all__ = [
     "Character",
@@ -45,12 +44,14 @@ class ClosureCapError(RuntimeError):
 class Perm(Frozen):
     """A permutation of {1..n} held as its tuple of images."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_sign")
 
-    def __init__(self, images):
-        images = tuple(int(i) for i in images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
+    def __init__(self, images, check: bool = True):
+        """check=False trusts images, a tuple known to be a permutation."""
+        if check:
+            images = tuple(int(i) for i in images)
+            if sorted(images) != list(range(1, len(images) + 1)):
+                raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         object.__setattr__(self, "images", images)
 
     @classmethod
@@ -70,17 +71,15 @@ class Perm(Frozen):
                 [int(v) for v in re.split(r"[\s,]+", g.strip()) if v]
                 for g in groups
             ]
-        images = list(range(1, n + 1))
-        seen = set()
+        images, seen = list(range(1, n + 1)), set()
         for cycle in cycles:
             cycle = [int(v) for v in cycle]
-            for v in cycle:
+            for pos, v in enumerate(cycle):
                 if not 1 <= v <= n:
                     raise ValueError(f"cycle entry {v} out of range 1..{n}")
                 if v in seen:
                     raise ValueError(f"index {v} repeated across cycles")
                 seen.add(v)
-            for pos, v in enumerate(cycle):
                 images[v - 1] = cycle[(pos + 1) % len(cycle)]
         return cls(images)
 
@@ -99,31 +98,29 @@ class Perm(Frozen):
         return compose(self, other)
 
     def inverse(self) -> "Perm":
-        return Perm(_tuple_inverse(self.images))
+        return Perm(_tuple_inverse(self.images), False)
 
     def cycles(self):
         """Disjoint cycles (fixed points omitted), each starting at its
         smallest element, listed by smallest element."""
-        seen = set()
-        out = []
+        seen, out = set(), []
         for start in range(1, len(self.images) + 1):
-            if start in seen or self(start) == start:
-                continue
-            cycle = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cycle.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            out.append(tuple(cycle))
+            if start not in seen and self(start) != start:
+                cycle = [start]
+                while (nxt := self(cycle[-1])) != start:
+                    cycle.append(nxt)
+                seen.update(cycle)
+                out.append(tuple(cycle))
         return out
 
     def is_even(self) -> bool:
         return self.sign() == 1
 
     def sign(self) -> int:
-        return (-1) ** sum(len(c) - 1 for c in self.cycles())
+        """+1 or -1, computed on the first call."""
+        if not hasattr(self, "_sign"):
+            object.__setattr__(self, "_sign", (-1) ** sum(len(c) - 1 for c in self.cycles()))
+        return self._sign
 
     def parity(self) -> str:
         return "even" if self.is_even() else "odd"
@@ -150,7 +147,7 @@ def compose(a: Perm, b: Perm) -> Perm:
     """(a b)(i) = a(b(i)); degrees must agree."""
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return Perm(_tuple_compose(a.images, b.images))
+    return Perm(_tuple_compose(a.images, b.images), False)
 
 
 def an_generators(n: int) -> list[Perm]:
@@ -180,8 +177,7 @@ def _tuple_closure(gens, cap):
         raise ValueError("need at least one generator")
     n = len(gens[0])
     identity = tuple(range(1, n + 1))
-    group = {identity}
-    frontier = [identity]
+    group, frontier = {identity}, [identity]
     while frontier:
         new = []
         for h in frontier:
@@ -201,7 +197,7 @@ def _tuple_closure(gens, cap):
 def close_group(gens, cap: int = CLOSURE_CAP) -> set[Perm]:
     """All products of the generators (a brute-force subgroup listing)."""
     tuples = _tuple_closure([g.images for g in gens], cap)
-    return {Perm(t) for t in tuples}
+    return {Perm(t, False) for t in tuples}
 
 
 def commutator_closure(gens, cap: int = CLOSURE_CAP) -> set[Perm]:
@@ -228,11 +224,29 @@ def commutator_closure(gens, cap: int = CLOSURE_CAP) -> set[Perm]:
             normal_gens.append(c)
             closed = _tuple_closure(normal_gens, cap)
             pending.extend(_tuple_compose(_tuple_compose(g, c), gi) for g, gi in zip(gs, inverses))
-    return {Perm(t) for t in closed}
+    return {Perm(t, False) for t in closed}
 
 
 # ---------------------------------------------------------------------------
 # characters
+
+
+def _ratio(f: MPoly, q: int, images: tuple) -> CycScalar:
+    """The q-th root of unity chi = lc(f) / lc(f(x_alpha)) with
+    f = chi * f(x_alpha), alpha given by its images, or ValueError: a
+    fixed f is compared in place, and no test forms a power of f."""
+    terms = _relabelled(f, images)
+    if terms == f._terms:
+        return CycScalar.one(f.order)
+    moved = _new(f.nvars, f.order, terms, f._den)
+    top, lead = f._lead()
+    moved_lead = moved._ws(top)
+    if not moved_lead:
+        raise ValueError("no character: leading supports differ")
+    lead, moved_lead = f._scalar(lead), f._scalar(moved_lead)
+    if moved_lead * f == lead * moved and lead ** q == moved_lead ** q:
+        return lead / moved_lead
+    raise ValueError("no q-th root of unity relates f to its permuted copy")
 
 
 def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycScalar:
@@ -240,9 +254,10 @@ def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycSc
 
     Defined for nonzero f whose q-th power is invariant under even
     permutations, and for even alpha.  Existence and uniqueness follow
-    from factoring f^q - (f(x_alpha))^q over the coefficient field; here
-    chi is the w_q^m that carries the leading coefficient of f(x_alpha)
-    to that of f, so nothing is divided, and it is then verified exactly.
+    from factoring f^q - (f(x_alpha))^q over the coefficient field, a UFD:
+    f^q is fixed by g exactly when f(x_g) = zeta * f with zeta^q = 1, so
+    check_pre tests that on the two generators of the alternating group
+    without forming f^q.
     """
     if f.is_zero():
         raise ValueError("character of the zero polynomial is undefined")
@@ -250,23 +265,14 @@ def character_of(f: MPoly, q: int, alpha: Perm, check_pre: bool = True) -> CycSc
         raise ValueError("permutation degree does not match the variable count")
     if not alpha.is_even():
         raise ValueError(f"{alpha} is odd; characters live on even permutations")
-    if check_pre and not is_even_symmetric(f ** q):
+    try:
+        for g in _generators(f.nvars, True) if check_pre else ():
+            _ratio(f, q, g)
+    except ValueError:
         raise ValueError(
             f"f^{q} is not invariant under even permutations; no character exists"
-        )
-    moved = permute_vars(f, alpha)
-    top, lead = f._lead()
-    moved_lead = moved._ws(top)
-    if not moved_lead:
-        raise ValueError("no character: leading supports differ")
-    if lead == moved_lead and f == moved:
-        return CycScalar.one(f.order)
-    lead, moved_lead = f._scalar(lead), f._scalar(moved_lead)
-    for m in range(1, q):
-        chi = project(root_of_unity(q, q) ** m, f.order)
-        if chi is not None and lead == chi * moved_lead and f == chi * moved:
-            return chi
-    raise ValueError("no q-th root of unity relates f to its permuted copy")
+        ) from None
+    return _ratio(f, q, alpha.images)
 
 
 class Character(Frozen):
@@ -284,10 +290,14 @@ class Character(Frozen):
         return all(v == CycScalar.one() for v in self.values.values())
 
     def describe(self) -> list[str]:
-        out = []
-        for g in sorted(self.values, key=lambda p: p.images):
-            out.append(f"chi({g}) = {self.values[g]}")
-        return out
+        return [f"chi({g}) = {self.values[g]}" for g in sorted(self.values, key=lambda p: p.images)]
+
+
+@functools.cache
+def _generator_table(n: int):
+    """The generators (1 2 m) and their products (g, h, g * h), once per n."""
+    gens = tuple(an_generators(n))
+    return gens, tuple((g, h, g * h) for g in gens for h in gens)
 
 
 def build_character(f: MPoly, q: int) -> Character:
@@ -296,8 +306,9 @@ def build_character(f: MPoly, q: int) -> Character:
     by g iff f(x_g) = zeta * f with zeta a q-th root of unity in f's field."""
     if f.is_zero():
         raise ValueError("character of the zero polynomial is undefined")
+    generators, products = _generator_table(f.nvars)
     values = {}
-    for g in an_generators(f.nvars):
+    for g in generators:
         try:
             values[g] = character_of(f, q, g, check_pre=False)
         except ValueError:
@@ -305,8 +316,8 @@ def build_character(f: MPoly, q: int) -> Character:
                 f"f^{q} moves under the even permutation {g.images}; no character "
                 "exists and the keeping-symmetry question does not arise"
             ) from None
-    for g, h in itertools.product(values, repeat=2):
-        product_chi = character_of(f, q, g * h, check_pre=False)
+    for g, h, gh in products:
+        product_chi = character_of(f, q, gh, check_pre=False)
         if product_chi != values[g] * values[h]:
             raise AssertionError(
                 f"character is not multiplicative on {g} * {h}"
@@ -385,9 +396,7 @@ def _force_by_coprime_exponent(label: str, cycle_len: int, q: int) -> str:
 
 
 def _derive_generator_trivial_q_not_3(g: Perm, q: int) -> list[str]:
-    n = g.degree
-    cube = g * g * g
-    if cube != Perm.identity(n):
+    if g * g * g != Perm.identity(g.degree):
         raise AssertionError(f"{g} is not a three-cycle")
     return [
         f"{g}: cube is the identity (machine checked)",
@@ -398,9 +407,7 @@ def _derive_generator_trivial_q_not_3(g: Perm, q: int) -> list[str]:
 def _derive_generator_trivial_q_3(g: Perm) -> list[str]:
     """For q = 3 express the generator as a product of two five-cycles;
     every five-cycle has trivial character since gcd(5, 3) = 1."""
-    n = g.degree
-    cyc = g.cycles()
-    (i, j, k) = cyc[0]
+    n, (i, j, k) = g.degree, g.cycles()[0]
     aux = [v for v in range(1, n + 1) if v not in (i, j, k)][:2]
     if len(aux) < 2:
         raise ValueError("need at least five indices for the q = 3 route")
@@ -419,22 +426,14 @@ def _derive_generator_trivial_q_3(g: Perm) -> list[str]:
 
 
 def _resolvent_counterexample(n: int) -> Character:
-    e3 = root_of_unity(3, 3)
-    if n == 3:
-        f = (
-            MPoly.variable(3, 1)
-            + e3 * MPoly.variable(3, 2)
-            + e3 ** 2 * MPoly.variable(3, 3)
-        )
-    elif n == 4:
-        x = [MPoly.variable(4, i) for i in range(1, 5)]
-        r1 = x[0] * x[1] + x[2] * x[3]
-        r2 = x[0] * x[2] + x[1] * x[3]
-        r3 = x[0] * x[3] + x[1] * x[2]
-        f = r1 + e3 * r2 + e3 ** 2 * r3
-    else:
+    """r1 + w3 * r2 + w3^2 * r3 for the roots (n = 3) or the pair products
+    x1 x2 + x3 x4, x1 x3 + x2 x4, x1 x4 + x2 x3 (n = 4)."""
+    if n not in (3, 4):
         raise ValueError(f"no stock counterexample for n = {n}")
-    return build_character(f, 3)
+    e3, x = root_of_unity(3, 3), [MPoly.variable(n, i) for i in range(1, n + 1)]
+    pairs = ((1, 2, 3), (2, 1, 3), (3, 1, 2))
+    r = x if n == 3 else [x[0] * x[i] + x[j] * x[k] for i, j, k in pairs]
+    return build_character(r[0] + e3 * r[1] + e3 ** 2 * r[2], 3)
 
 
 @functools.cache

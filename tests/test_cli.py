@@ -7,6 +7,7 @@ byte-identical reports for identical invocations.
 
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -32,6 +33,30 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment of a child that imports the same checkout as this
+    process."""
+    src = str(FIXTURES.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def run_bounded(*argv, seconds=5, memory=1 << 30):
+    """(exit code, stdout, stderr) of `python -m radform.cli argv` in a child
+    process that is killed after `seconds` of wall clock (the test fails
+    with TimeoutExpired) and whose address space is capped at `memory`
+    bytes, so a hang or a runaway allocation fails instead of stalling."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "radform.cli", *map(str, argv)],
+        capture_output=True, text=True, env=child_env(), timeout=seconds,
+        preexec_fn=cap_memory,
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestVerify:
@@ -272,14 +297,45 @@ class TestConfig:
         assert config.inputs == [] and config.inputs is not CliConfig("verify").inputs
 
     def test_console_script_round_trip(self):
-        # the child must import the same checkout as this process
-        src = str(FIXTURES.parent / "src")
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
         result = subprocess.run(
             [sys.executable, "-m", "radform.cli", "verify",
              str(FIXTURES / "degree2.poly")],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout
+
+
+def huge_order_document(tmp_path):
+    """fixtures/degree5_candidate.poly with w(9999999999) added to p_0."""
+    text = (FIXTURES / "degree5_candidate.poly").read_text()
+    path = tmp_path / "huge_order.poly"
+    path.write_text(text.replace("p 0 = s1^2", "p 0 = s1^2 + w(9999999999)"))
+    return path
+
+
+class TestBoundedInputs:
+    """Inputs that once hung: each ends within seconds, with exit 0, 1 or 2
+    and at most one line on stderr."""
+
+    @pytest.mark.parametrize("argv, code, out", [
+        (["symmetrize", "x1+x2+w(9999999999)"], 2, ""),
+        (["character", "x1+x2+x3", "25", "(1 2 3)"], 0, "chi((1 2 3)) = 1\n"),
+        (["character", "x1+x2+x3", "9999999999", "(1 2 3)"], 2, ""),
+        (["character", "1", "9999999999", "(1 2 3)"], 2, ""),
+        (["character", "1", "2", "(1 2 3000)"], 0, "chi((1 2 3000)) = 1\n"),
+        (["character", "1", "2", "(1 2 30000)"], 0, "chi((1 2 30000)) = 1\n"),
+    ], ids=["huge-w", "q-past-max-degree", "huge-q", "huge-q-constant", "long-cycle",
+            "longer-cycle"])
+    def test_inline_inputs(self, argv, code, out):
+        status, stdout, err = run_bounded(*argv)
+        assert (status, stdout) == (code, out)
+        assert err.count("\n") == (code != 0) and "Traceback" not in err
+        assert code == 0 or "cap" in err
+
+    @pytest.mark.parametrize("command", ["verify", "obstruct"])
+    def test_huge_order_in_a_document(self, command, tmp_path):
+        code, out, err = run_bounded(command, huge_order_document(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "line 3, column 16" in err
+        assert "cap" in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from radform.cyclotomic import (
+    ORDER_CAP,
     CycScalar,
     OrderMismatchError,
     cyclotomic_poly,
@@ -123,6 +124,15 @@ def test_rejects_non_divisor_order():
         root_of_unity(5, 12)
     with pytest.raises(OrderMismatchError):
         CycScalar.one(3).lift(4)
+
+
+def test_order_cap_is_checked_before_phi_is_built():
+    assert root_of_unity(ORDER_CAP, ORDER_CAP) ** ORDER_CAP == 1
+    built = cyclotomic_poly.cache_info().currsize
+    for q, order in ((ORDER_CAP + 1, ORDER_CAP + 1), (1, 9999999999)):
+        with pytest.raises(ValueError, match=f"order {order} exceeds the cap {ORDER_CAP}"):
+            root_of_unity(q, order)
+    assert cyclotomic_poly.cache_info().currsize == built
 
 
 def test_mixed_order_arithmetic_lifts_to_lcm():

@@ -3,7 +3,7 @@
 import pytest
 from fractions import Fraction
 
-from radform.cyclotomic import root_of_unity
+from radform.cyclotomic import ORDER_CAP, root_of_unity
 from radform.dsl import (
     DslError,
     PolyContext,
@@ -91,6 +91,15 @@ class TestPolyExpressions:
         assert parse_expression("(1 + w(3))*x1", ctx) == MPoly.variable(1, 1) * (
             1 + w3
         )
+
+    @pytest.mark.parametrize("make", [
+        lambda: x_ctx(1), lambda: TowerContext(quad_tower(), 1),
+    ], ids=["poly", "tower"])
+    def test_order_above_the_cap_reports_position(self, make):
+        assert parse_expression(f"w({ORDER_CAP})^{ORDER_CAP}", make()) == 1
+        with pytest.raises(DslError, match=f"order {ORDER_CAP + 1} exceeds the cap") as err:
+            parse_expression(f"1 + w({ORDER_CAP + 1})", make(), line_no=2)
+        assert (err.value.line, err.value.col) == (2, 7)
 
     def test_unknown_variable_reports_position(self):
         with pytest.raises(DslError) as err:

@@ -1,11 +1,21 @@
 import itertools
+import math
 import random
 import re
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from radform.cyclotomic import CycScalar, Frozen, root_of_unity
-from radform.multipoly import NO_ROOT, MPoly, is_even_symmetric, symmetrize
+from radform.multipoly import (
+    NO_ROOT,
+    MPoly,
+    _generators,
+    is_even_symmetric,
+    is_symmetric,
+    permute_vars,
+    symmetrize,
+)
 from radform.permchar import (
     Character,
     ClosureCapError,
@@ -169,6 +179,9 @@ def test_character_preconditions():
     skew = MPoly.variable(3, 1) + 2 * MPoly.variable(3, 2)
     with pytest.raises(ValueError):
         character_of(skew, 2, cyc(3, 1, 2, 3))
+    # w(3) carries f's relabelled copy to f, but w(3)^2 != 1
+    with pytest.raises(ValueError, match="no q-th root of unity"):
+        character_of(f, 2, cyc(3, 1, 2, 3), check_pre=False)
 
 
 def test_build_character_homomorphism_checked():
@@ -277,6 +290,102 @@ def test_small_n_with_q_not_3_still_trivial():
 def test_triviality_rejects_tiny_n():
     with pytest.raises(ValueError):
         verify_hom_trivial(2, 2)
+
+
+# -- the invariance tests and characters against brute force -------------
+
+
+W3 = root_of_unity(3, 3)
+
+
+def _symmetric_group(n):
+    """S_n listed by closing the transpositions (1 m), not the pair of
+    generators the invariance test uses."""
+    return close_group([Perm.transposition(n, 1, m) for m in range(2, n + 1)])
+
+
+@st.composite
+def layer5_polys(draw):
+    """A polynomial in n <= 5 variables with w(3) coefficients over a
+    denominator: as drawn, summed over the S_n or the A_n orbit (the A_n
+    sum also with one variable added), or times an alternating factor: the
+    Vandermonde product, or for n = 3, 4 the resolvent combination whose
+    character has order 3, each times a symmetric polynomial."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    small = st.integers(min_value=-3, max_value=3)
+    g = MPoly.zero(n)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        exps = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(n))
+        coeff = (draw(small) + draw(small) * W3) / draw(st.integers(min_value=1, max_value=4))
+        g = g + MPoly.monomial(n, exps, coeff)
+    kind = draw(st.sampled_from(["raw", "symmetric", "even", "even plus", "alternating"]))
+    if kind == "raw":
+        return g
+    if kind == "alternating":
+        factor = vandermonde(n) if n == 5 or draw(st.booleans()) else (
+            verify_hom_trivial(n, 3).counterexample.source)
+        return factor * (g.leading_term()[1] if n == 5 else _orbit_sum(g, _symmetric_group(n)))
+    group = _symmetric_group(n) if kind == "symmetric" else close_group(an_generators(n))
+    if kind == "even plus":
+        return _orbit_sum(g, group) + MPoly.variable(n, draw(st.integers(min_value=1, max_value=n)))
+    return _orbit_sum(g, group)
+
+
+def _orbit_sum(g, group):
+    return sum((permute_vars(g, p) for p in group), MPoly.zero(g.nvars))
+
+
+@seed(20)
+@settings(max_examples=80, deadline=None, database=None)
+@given(layer5_polys())
+def test_invariance_tests_match_the_whole_group(f):
+    n = f.nvars
+    assert is_symmetric(f) == all(permute_vars(f, p) == f for p in _symmetric_group(n))
+    assert is_even_symmetric(f) == all(
+        permute_vars(f, p) == f for p in close_group(an_generators(n))
+    )
+    # the witness is the first mover of the lists (1 m) and (1 2 m)
+    transpositions = [Perm.transposition(n, 1, m).images for m in range(2, n + 1)]
+    three_cycles = [g.images for g in an_generators(n)]
+    for test, listed in ((is_symmetric, transpositions), (is_even_symmetric, three_cycles)):
+        ok, witness = test(f, witness=True)
+        assert ok == (test(f) is True)
+        assert witness == next((t for t in listed if permute_vars(f, t) != f), None)
+
+
+@seed(21)
+@settings(max_examples=80, deadline=None, database=None)
+@given(layer5_polys(), st.sampled_from([2, 3, 6]))
+def test_character_of_matches_a_search_over_the_roots(f, q):
+    if f.is_zero():
+        return
+    roots = [root_of_unity(q, q) ** m for m in range(q)]
+    found = {}
+    for alpha in close_group(an_generators(f.nvars)):
+        moved = permute_vars(f, alpha)
+        found[alpha] = next((chi for chi in roots if f == chi * moved), None)
+    power_invariant = None not in found.values()
+    # character_of on the first 12 elements in image order keeps the run short
+    for alpha, chi in sorted(found.items(), key=lambda item: item[0].images)[:12]:
+        if chi is None:
+            with pytest.raises(ValueError):
+                character_of(f, q, alpha, check_pre=False)
+        else:
+            assert character_of(f, q, alpha, check_pre=False) == chi
+        if power_invariant:
+            assert character_of(f, q, alpha) == chi
+        else:
+            with pytest.raises(ValueError, match=f"f\\^{q} is not invariant"):
+                character_of(f, q, alpha)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_generator_pairs_close_to_the_whole_groups(n):
+    symmetric = close_group([Perm(g) for g in _generators(n, False)], cap=math.factorial(n))
+    assert len(symmetric) == math.factorial(n)
+    even = close_group([Perm(g) for g in _generators(n, True)], cap=math.factorial(n))
+    assert len(even) == math.factorial(n) // 2
+    assert all(p.is_even() for p in even)
 
 
 FROZEN_RECORDS = {
