@@ -14,7 +14,7 @@ import argparse
 import re
 import sys
 
-from radform.cyclotomic import ORDER_CAP, root_of_unity
+from radform.cyclotomic import ORDER_CAP, OrderCapError, root_of_unity
 from radform.dsl import (
     DslError,
     PolyContext,
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
             return cmd_builtin(config, args.name)
     except DslError as err:
         return _fail(str(err), 2)
-    except ExponentOverflowError as err:
+    except (ExponentOverflowError, OrderCapError) as err:
         return _fail(str(err), 1)
     except OSError as err:
         return _fail(str(err), 2)

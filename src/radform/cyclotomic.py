@@ -4,7 +4,8 @@ w_N denotes the primitive N-th root of unity cos(2*pi/N) + i*sin(2*pi/N).
 A scalar of order N is stored by its rational coordinates on the power
 basis 1, w_N, ..., w_N^(phi(N)-1), so equality is a coordinate comparison.
 Nothing in this module touches floating point.  Scalars of different
-orders combine in Q(w_M), M the lcm of the orders (w_q = w_M^(M/q)).
+orders combine in Q(w_M), M the lcm of the orders (w_q = w_M^(M/q)),
+and an M above ORDER_CAP is refused, as a w(N) above it is.
 
 This module also holds the arithmetic that scalars share with the
 polynomials of radform.multipoly: a sparse dict from a packed monomial
@@ -36,7 +37,9 @@ __all__ = [
     "Frozen",
     "Ring",
     "coerced",
+    "OrderCapError",
     "OrderMismatchError",
+    "capped",
     "cyclotomic_poly",
     "euler_phi",
     "join_terms",
@@ -59,6 +62,17 @@ ORDER_CAP = 100
 
 class OrderMismatchError(ValueError):
     """A requested root order does not divide the ambient order."""
+
+
+class OrderCapError(ValueError):
+    """A root order above ORDER_CAP, refused before any work in its field."""
+
+
+def capped(order: int) -> int:
+    """The order, refused with an OrderCapError above ORDER_CAP."""
+    if order > ORDER_CAP:
+        raise OrderCapError(f"root-of-unity order {order} exceeds the cap {ORDER_CAP}")
+    return order
 
 
 def _prime_factors(k: int) -> list[int]:
@@ -296,7 +310,7 @@ class CycScalar(Field):
         return CycScalar(order, cs)
 
     def _common(self, other):
-        m = math.lcm(self.order, other.order)
+        m = self.order if self.order == other.order else capped(math.lcm(self.order, other.order))
         return self.lift(m), other.lift(m)
 
     # -- predicates --------------------------------------------------------
@@ -377,8 +391,7 @@ def root_of_unity(q: int, order: int) -> CycScalar:
     """w_q expressed inside Q(w_order); q must divide order."""
     if q < 1 or order < 1:
         raise ValueError("root orders must be positive")
-    if order > ORDER_CAP:
-        raise ValueError(f"root-of-unity order {order} exceeds the cap {ORDER_CAP}")
+    capped(order)
     if order % q:
         raise OrderMismatchError(f"{q} does not divide the ambient order {order}")
     return CycScalar(order, [_F0] * (order // q) + [_F1])

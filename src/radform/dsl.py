@@ -1,4 +1,4 @@
-"""Expression tokenizer and parser for the formula document language.
+"""Expression lexer and parser for the formula document language.
 
 Expressions are sums, differences, products, powers and (restricted)
 quotients of named variables, nonnegative integers, the imaginary unit
@@ -10,7 +10,14 @@ a ``/`` is allowed to divide by, depends on the evaluation context:
   * TowerContext maps ``s<i>`` to ground-field generators and ``y<j>`` to
     tower radicals, and divides by radical-free (level-0) values only.
 
-Errors carry line and column positions for document-level diagnostics.
+A product of variables, integers, their powers and divisions by nonzero
+constants is one monomial (c, key, d), c/d times a packed key of
+radform.multipoly, so a product is a key addition and a power a key
+multiplication.  A +/- chain adds monomials into one numerator dict over
+one denominator as RatFunc adds, and its context builds the value once.
+From the first other value on (w(q), i, y<j>, a parenthesised sum, a
+degree that could overflow its field) the context's operators fold the
+rest in source order.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from __future__ import annotations
 import collections
 import re
 
-from radform.cyclotomic import root_of_unity
-from radform.multipoly import MPoly
-from radform.tower import TowerElem, TowerSpec
+from radform.cyclotomic import FIELD_BITS, OrderCapError, root_of_unity
+from radform.multipoly import MPoly, _make
+from radform.tower import RatFunc, TowerElem, TowerSpec
 
 __all__ = [
     "DslError",
@@ -36,12 +43,9 @@ __all__ = [
 
 class DslError(ValueError):
     def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {col}" if col else "") + ")"
+        where = "" if line is None else f" (line {line}" + (f", column {col}" if col else "") + ")"
         super().__init__(message + where)
-        self.line = line
-        self.col = col
+        self.line, self.col = line, col
 
 
 Token = collections.namedtuple("Token", "kind value line col")
@@ -50,172 +54,148 @@ its 1-based line and column.  A named tuple: built at a tuple's cost,
 immutable, and compared and hashed by its four fields."""
 
 
-# every non-space character starts a match, so finditer skips only spaces
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<INT>\d+)|(?P<NAME>[A-Za-z][A-Za-z0-9]*)|(?P<OP>[-+*/^()=])|(?P<BAD>\S))"
-)
+_LEXEME_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9]*|[-+*/^()=]")
+_BAD_RE = re.compile(r"[^\s\dA-Za-z*/^()=+-]")
+
+
+def _lex(text: str, line_no: int) -> list[str]:
+    """The lexemes of one line and "" for its end; other characters are refused."""
+    if bad := _BAD_RE.search(text):
+        raise DslError(f"unexpected character {bad[0]!r}", line_no, bad.start() + 1)
+    return _LEXEME_RE.findall(text) + [""]
+
+
+def _columns(text: str) -> list[int]:
+    """The 1-based column of each lexeme of _lex(text), the end's last."""
+    return [m.start() + 1 for m in _LEXEME_RE.finditer(text)] + [len(text) + 1]
 
 
 def tokenize(text: str, line_no: int = 1) -> list[Token]:
     """One line of input to a token list ending in an END marker."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "BAD":
-            raise DslError(f"unexpected character {m[kind]!r}", line_no, m.start(kind) + 1)
-        tokens.append(Token(kind, m[kind], line_no, m.start(kind) + 1))
-    tokens.append(Token("END", "", line_no, len(text) + 1))
-    return tokens
+    return [
+        Token("END" if not v else "INT" if v.isdigit() else "NAME" if v[0].isalpha() else "OP",
+              v, line_no, col)
+        for v, col in zip(_lex(text, line_no), _columns(text))
+    ]
 
 
 def max_name_index(text: str, letter: str) -> int:
     """Largest N such that `letterN` occurs as a name in the text; 0 if none."""
-    best = 0
-    pattern = re.compile(rf"^{re.escape(letter)}(\d+)$")
-    for tok in tokenize(text):
-        if tok.kind == "NAME":
-            m = pattern.match(tok.value)
-            if m:
-                best = max(best, int(m.group(1)))
-    return best
+    n = len(letter)
+    return max((int(v[n:]) for v in _lex(text, 1) if v[:n] == letter and v[n:].isdigit()),
+               default=0)
 
 
 # ---------------------------------------------------------------------------
-# evaluation contexts
+# evaluation contexts; they raise DslErrors that the parser positions
 
 
-class PolyContext:
+class _Context:
+    """A monomial product or power whose key reaches `cap` is left to the
+    operators, which raise ExponentOverflowError where a field overflows."""
+
+    def __init__(self, nvars: int):
+        self.cap = 1 << FIELD_BITS * (nvars + 2)
+
+    def integer(self, value: int):
+        return value, 0, 1
+
+
+class PolyContext(_Context):
     """Evaluate into MPoly with a fixed name -> variable-index table."""
 
     def __init__(self, nvars: int, var_map: dict[str, int], where: str = ""):
-        self.nvars = nvars
-        self.var_map = var_map
-        self.where = where
-        self._variables = {}
-
-    def integer(self, value: int):
-        return MPoly.constant(self.nvars, value)
+        super().__init__(nvars)
+        self.nvars, self.var_map, self.where = nvars, var_map, where
 
     def unity_root(self, q: int):
         return MPoly.constant(self.nvars, root_of_unity(q, q))
 
-    def variable(self, name: str, tok: Token):
-        poly = self._variables.get(name)
-        if poly is not None:
-            return poly
+    def variable(self, name: str):
         index = self.var_map.get(name)
         if index is None:
             known = ", ".join(sorted(self.var_map)) or "none"
             hint = f" in {self.where}" if self.where else ""
-            raise DslError(
-                f"unknown variable {name!r}{hint} (expected one of: {known})",
-                tok.line,
-                tok.col,
-            )
-        poly = self._variables[name] = MPoly.variable(self.nvars, index)
-        return poly
+            raise DslError(f"unknown variable {name!r}{hint} (expected one of: {known})")
+        (key,) = MPoly.variable(self.nvars, index)._terms
+        return 1, key, 1
 
-    def divide(self, num, den, tok: Token):
+    def build(self, terms: dict, den: int):
+        if den < 0:
+            terms, den = {k: -c for k, c in terms.items()}, -den
+        return _make(self.nvars, 1, terms, den)
+
+    def divide(self, num, den):
         if not den.is_constant():
-            raise DslError(
-                "division by a non-constant polynomial is not allowed here",
-                tok.line,
-                tok.col,
-            )
+            raise DslError("division by a non-constant polynomial is not allowed here")
         value = den.constant_value()
         if not value:
-            raise DslError("division by zero", tok.line, tok.col)
+            raise DslError("division by zero")
         return num / value
 
 
-class TowerContext:
+class TowerContext(_Context):
     """Evaluate into TowerElem: s<i> are ground variables, y<j> radicals."""
 
     def __init__(self, spec: TowerSpec, max_level: int):
-        self.spec = spec
-        self.max_level = max_level
-
-    def integer(self, value: int):
-        return self.spec.scalar(value)
+        super().__init__(spec.n)
+        self.spec, self.max_level = spec, max_level
 
     def unity_root(self, q: int):
         return self.spec.scalar(root_of_unity(q, q))
 
-    def variable(self, name: str, tok: Token):
-        m = re.fullmatch(r"([sy])(\d+)", name)
-        if m:
-            idx = int(m.group(2))
-            if m.group(1) == "s" and 1 <= idx <= self.spec.n:
-                return self.spec.from_sigma_poly(MPoly.variable(self.spec.n, idx))
-            if m.group(1) == "y" and 1 <= idx <= self.max_level:
-                return self.spec.generator(idx)
-        raise DslError(
-            f"unknown variable {name!r} (expected s1..s{self.spec.n}"
-            + (f" or y1..y{self.max_level}" if self.max_level else "")
-            + ")",
-            tok.line,
-            tok.col,
-        )
+    def variable(self, name: str):
+        idx = int(name[1:]) if name[1:].isdigit() else 0
+        if name[0] == "s" and 1 <= idx <= self.spec.n:
+            (key,) = MPoly.variable(self.spec.n, idx)._terms
+            return 1, key, 1
+        if name[0] == "y" and 1 <= idx <= self.max_level:
+            return self.spec.generator(idx)
+        levels = f" or y1..y{self.max_level}" if self.max_level else ""
+        raise DslError(f"unknown variable {name!r} (expected s1..s{self.spec.n}{levels})")
 
-    def divide(self, num, den, tok: Token):
+    def build(self, terms: dict, den: int):
+        n = self.spec.n
+        return self.spec.from_ratfunc(RatFunc(_make(n, 1, terms), MPoly.constant(n, den)))
+
+    def divide(self, num, den):
         if den.level != 0:
-            raise DslError(
-                "divisors must be radical-free (no y-variables)", tok.line, tok.col
-            )
+            raise DslError("divisors must be radical-free (no y-variables)")
         if den.is_zero():
-            raise DslError("division by zero", tok.line, tok.col)
-        inv = TowerElem(self.spec, 0, den.payload.inv())
-        return num * inv
-
-
-class _Degree:
-    """A total-degree bound: sums take the larger bound, products add
-    bounds, and a k-th power multiplies one by k."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def __add__(self, other):
-        return _Degree(max(self.d, other.d))
-
-    __sub__ = __add__
-
-    def __neg__(self):
-        return self
-
-    def __mul__(self, other):
-        return _Degree(self.d + other.d)
-
-    def __pow__(self, k: int):
-        return _Degree(self.d * k)
+            raise DslError("division by zero")
+        return num * TowerElem(self.spec, 0, den.payload.inv())
 
 
 class _DegreeContext:
-    """Evaluate to degree bounds; names are checked against another context."""
+    """Evaluate to degree bounds: a key is a total degree alone, with no
+    field to overflow; a sum keeps its largest key, cancelled terms
+    included, and a quotient its dividend.  Names are checked by ctx."""
+
+    cap = float("inf")
 
     def __init__(self, ctx):
         self.ctx = ctx
 
     def integer(self, value: int):
-        return _Degree(0)
+        return 1, 0, 1
 
-    def unity_root(self, q: int):
-        return _Degree(0)
+    unity_root = integer
 
-    def variable(self, name: str, tok: Token):
-        self.ctx.variable(name, tok)
-        return _Degree(1)
+    def variable(self, name: str):
+        self.ctx.variable(name)
+        return 1, 1 << FIELD_BITS, 1
 
-    def divide(self, num, den, tok: Token):
+    def build(self, terms: dict, den: int):
+        return 1, max(terms), 1
+
+    def divide(self, num, den):
         return num
 
 
 def degree_bound(source, ctx) -> int:
     """An upper bound on the total degree of an expression, read off its
     syntax without expanding anything; its names must be known to ctx."""
-    return parse_expression(source, _DegreeContext(ctx)).d
+    return parse_expression(source, _DegreeContext(ctx))[1] >> FIELD_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -223,109 +203,134 @@ def degree_bound(source, ctx) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], ctx):
-        self.tokens = tokens
-        self.ctx = ctx
-        self.pos = 0
+    """Recursive descent over one line's lexemes, `atoms` caching each
+    lexeme's atom; a monomial is a tuple, any other value the context's."""
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, text: str, ctx, line_no: int):
+        self.text, self.lex, self.ctx, self.line = text, _lex(text, line_no), ctx, line_no
+        self.pos, self.atoms = 0, {}
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def fail(self, message: str, pos: int):
+        raise DslError(message, self.line, _columns(self.text)[pos]) from None
+
+    def value(self, x):
+        return self.ctx.build({x[1]: x[0]}, x[2]) if type(x) is tuple else x
+
+    def apply(self, op: str, a, b, pos: int):
+        """a op b on context values, an order above the cap or a refused
+        divisor reported at the operator."""
+        a, b = self.value(a), self.value(b)
+        try:
+            return (a * b if op == "*" else a + b if op == "+" else a - b if op == "-"
+                    else a ** b if op == "^" else self.ctx.divide(a, b))
+        except (DslError, OrderCapError) as err:
+            self.fail(str(err), pos)
+
+    def expect(self, op: str):
+        tok = self.lex[self.pos]
+        if tok != op:
+            self.fail(f"expected {op!r}, found {tok or 'end of line'!r}", self.pos)
         self.pos += 1
-        return tok
-
-    def at_op(self, *ops) -> bool:
-        tok = self.peek()
-        return tok.kind == "OP" and tok.value in ops
-
-    def expect_op(self, op: str):
-        tok = self.advance()
-        if tok.kind != "OP" or tok.value != op:
-            raise DslError(
-                f"expected {op!r}, found {tok.value or 'end of line'!r}",
-                tok.line,
-                tok.col,
-            )
 
     def parse(self):
         value = self.expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise DslError(f"unexpected {tok.value!r}", tok.line, tok.col)
-        return value
+        if tok := self.lex[self.pos]:
+            self.fail(f"unexpected {tok!r}", self.pos)
+        return self.value(value)
 
     def expr(self):
+        lex = self.lex
         value = self.unary()
-        while self.at_op("+", "-"):
-            op = self.advance().value
+        if lex[self.pos] not in ("+", "-"):
+            return value
+        terms, den = ({value[1]: value[0]}, value[2]) if type(value) is tuple else (None, 1)
+        while (op := lex[pos := self.pos]) == "+" or op == "-":
+            self.pos = pos + 1
             rhs = self.unary()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            if terms is None or type(rhs) is not tuple:
+                if terms is not None:
+                    value, terms = self.ctx.build(terms, den), None
+                value = self.apply(op, value, rhs, pos)
+                continue
+            c, key, d = rhs if op == "+" else (-rhs[0], rhs[1], rhs[2])
+            if d != den:
+                terms = {k: v * d for k, v in terms.items()}
+                c, den = c * den, den * d
+            terms[key] = terms.get(key, 0) + c
+        return value if terms is None else self.ctx.build(terms, den)
 
     def unary(self):
-        minus = False
-        while self.at_op("+", "-"):
-            if self.advance().value == "-":
-                minus = not minus
+        lex, minus = self.lex, False
+        while (op := lex[self.pos]) == "+" or op == "-":
+            minus ^= op == "-"
+            self.pos += 1
         value = self.term()
-        return -value if minus else value
+        if not minus:
+            return value
+        return (-value[0], value[1], value[2]) if type(value) is tuple else -value
 
     def term(self):
+        lex, cap = self.lex, self.ctx.cap
         value = self.power()
-        while self.at_op("*", "/"):
-            tok = self.advance()
+        while (op := lex[pos := self.pos]) == "*" or op == "/":
+            self.pos = pos + 1
             rhs = self.power()
-            if tok.value == "*":
-                value = value * rhs
+            if op == "/" and type(rhs) is tuple and rhs[0] and not rhs[1]:
+                op, rhs = "*", (rhs[2], 0, rhs[0])  # times the constant's inverse
+            if op == "*" and type(value) is type(rhs) is tuple and value[1] + rhs[1] < cap:
+                value = (value[0] * rhs[0], value[1] + rhs[1], value[2] * rhs[2])
             else:
-                value = self.ctx.divide(value, rhs, tok)
+                value = self.apply(op, value, rhs, pos)
         return value
 
     def power(self):
+        lex = self.lex
         value = self.atom()
-        while self.at_op("^"):
-            self.advance()
-            tok = self.advance()
-            if tok.kind != "INT":
-                raise DslError("exponent must be a nonnegative integer", tok.line, tok.col)
-            value = value ** int(tok.value)
+        while lex[pos := self.pos] == "^":
+            exponent = lex[pos + 1]
+            if not exponent.isdigit():
+                self.fail("exponent must be a nonnegative integer", pos + 1)
+            self.pos, e = pos + 2, int(exponent)
+            if type(value) is tuple and value[1] * e < self.ctx.cap:
+                value = (value[0] ** e, value[1] * e, value[2] ** e)
+            else:
+                value = self.apply("^", value, e, pos)
         return value
 
     def atom(self):
-        tok = self.advance()
-        if tok.kind == "INT":
-            return self.ctx.integer(int(tok.value))
-        if tok.kind == "NAME":
-            if tok.value == "i":
-                return self.ctx.unity_root(4)
-            if tok.value == "w" and self.at_op("("):
-                self.advance()
-                qtok = self.advance()
-                if qtok.kind != "INT":
-                    raise DslError("w(...) takes an integer order", qtok.line, qtok.col)
-                q = int(qtok.value)
-                if q < 1:
-                    raise DslError("root-of-unity order must be positive", qtok.line, qtok.col)
-                self.expect_op(")")
-                try:
-                    return self.ctx.unity_root(q)
-                except ValueError as err:
-                    raise DslError(str(err), qtok.line, qtok.col) from None
-            return self.ctx.variable(tok.value, tok)
-        if tok.kind == "OP" and tok.value == "(":
+        lex, pos, ctx = self.lex, self.pos, self.ctx
+        tok = lex[pos]
+        self.pos = pos + 1
+        if (atom := self.atoms.get(tok)) is not None:
+            return atom
+        if tok == "(":
             value = self.expr()
-            self.expect_op(")")
+            self.expect(")")
             return value
-        raise DslError(
-            f"expected a value, found {tok.value or 'end of line'!r}",
-            tok.line,
-            tok.col,
-        )
+        if tok == "i":
+            return ctx.unity_root(4)
+        if tok == "w" and lex[pos + 1] == "(":
+            q = lex[pos + 2]
+            if not q.isdigit() or int(q) < 1:
+                self.fail("root-of-unity order must be positive" if q.isdigit()
+                          else "w(...) takes an integer order", pos + 2)
+            self.pos = pos + 3
+            self.expect(")")
+            try:
+                return ctx.unity_root(int(q))
+            except ValueError as err:
+                self.fail(str(err), pos + 2)
+        if not tok[:1].isalnum():
+            self.fail(f"expected a value, found {tok or 'end of line'!r}", pos)
+        try:
+            atom = ctx.integer(int(tok)) if tok.isdigit() else ctx.variable(tok)
+        except DslError as err:
+            self.fail(str(err), pos)
+        if tok != "w":  # a later "w(" is a root of unity
+            self.atoms[tok] = atom
+        return atom
 
 
-def parse_expression(source, ctx, line_no: int = 1):
-    """Evaluate an expression string (or pre-tokenized list) in a context."""
-    tokens = tokenize(source, line_no) if isinstance(source, str) else source
-    return _Parser(tokens, ctx).parse()
+def parse_expression(source: str, ctx, line_no: int = 1):
+    """Evaluate an expression string in a context."""
+    return _Parser(source, ctx, line_no).parse()

@@ -39,6 +39,7 @@ from radform.cyclotomic import (
     CycScalar,
     Frozen,
     Ring,
+    capped,
     coerced,
     euler_phi,
     join_terms,
@@ -319,7 +320,7 @@ class MPoly(Ring):
         """Both packed term dicts lifted to one order, and that order."""
         if self.order == other.order:
             return self._terms, other._terms, self.order
-        m = math.lcm(self.order, other.order)
+        m = capped(math.lcm(self.order, other.order))
         return _lift(self._terms, self.order, m), _lift(other._terms, other.order, m), m
 
     def _summands(self, other):

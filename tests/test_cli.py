@@ -325,13 +325,31 @@ class TestBoundedInputs:
         (["character", "1", "9999999999", "(1 2 3)"], 2, ""),
         (["character", "1", "2", "(1 2 3000)"], 0, "chi((1 2 3000)) = 1\n"),
         (["character", "1", "2", "(1 2 30000)"], 0, "chi((1 2 30000)) = 1\n"),
+        (["symmetrize", "x1+x2+w(7)*w(11)*w(13)"], 2, ""),
+        (["symmetrize", "x1+x2+w(7)*w(11)"], 0, "s1 + w(77)^18\n"),
     ], ids=["huge-w", "q-past-max-degree", "huge-q", "huge-q-constant", "long-cycle",
-            "longer-cycle"])
+            "longer-cycle", "order-lcm-past-cap", "order-lcm-under-cap"])
     def test_inline_inputs(self, argv, code, out):
         status, stdout, err = run_bounded(*argv)
         assert (status, stdout) == (code, out)
         assert err.count("\n") == (code != 0) and "Traceback" not in err
         assert code == 0 or "cap" in err
+
+    @pytest.mark.parametrize("command", ["verify", "obstruct"])
+    @pytest.mark.parametrize("p0, witness, code, where", [
+        ("s1^2 + w(7)*w(11)*w(13)", "x5", 2, " (line 3, column 24)"),
+        ("s1^2 + w(7)*w(11)", "x5 + w(13)", 1, ""),
+    ], ids=["one-line", "across-lines"])
+    def test_order_lcm_past_the_cap_in_a_document(self, command, p0, witness, code, where,
+                                                  tmp_path):
+        # within a line the parser refuses the operator; across lines the
+        # identity check refuses the arithmetic, as an exponent overflow
+        text = (FIXTURES / "degree5_candidate.poly").read_text()
+        path = tmp_path / "order_lcm.poly"
+        path.write_text(text.replace("s1^2", p0).replace("x5", witness))
+        status, out, err = run_bounded(command, path)
+        assert (status, out) == (code, "")
+        assert err == f"root-of-unity order 1001 exceeds the cap 100{where}\n"
 
     @pytest.mark.parametrize("command", ["verify", "obstruct"])
     def test_huge_order_in_a_document(self, command, tmp_path):

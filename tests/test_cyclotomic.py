@@ -135,6 +135,17 @@ def test_order_cap_is_checked_before_phi_is_built():
     assert cyclotomic_poly.cache_info().currsize == built
 
 
+def test_combined_order_is_capped_before_phi_is_built():
+    w7, w11, w13 = (root_of_unity(q, q) for q in (7, 11, 13))
+    assert (w7 * w11).order == 77
+    built = cyclotomic_poly.cache_info().currsize
+    for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a == b):
+        with pytest.raises(ValueError, match=f"order 1001 exceeds the cap {ORDER_CAP}"):
+            combine(w7 * w11, w13)
+    assert cyclotomic_poly.cache_info().currsize == built
+    assert (w13 * w13 + 1).order == 13
+
+
 def test_mixed_order_arithmetic_lifts_to_lcm():
     e2 = root_of_unity(2, 2)
     e3 = root_of_unity(3, 3)

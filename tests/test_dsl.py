@@ -1,20 +1,30 @@
 """Tokenizer and expression parser behavior, both evaluation contexts."""
 
+import functools
+import hashlib
+import importlib.util
+import pathlib
+
 import pytest
 from fractions import Fraction
+from hypothesis import given, seed, settings, strategies as st
 
+from radform import corpus, dsl, formula
 from radform.cyclotomic import ORDER_CAP, root_of_unity
 from radform.dsl import (
     DslError,
     PolyContext,
     Token,
     TowerContext,
+    degree_bound,
     max_name_index,
     parse_expression,
     tokenize,
 )
 from radform.multipoly import MPoly
-from radform.tower import TowerSpec
+from radform.tower import TowerElem, TowerSpec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def x_ctx(n):
@@ -161,3 +171,323 @@ class TestTowerExpressions:
             parse_expression("y2", ctx)
         with pytest.raises(DslError, match="unknown variable 's3'"):
             parse_expression("s3", ctx)
+
+
+# ---------------------------------------------------------------------------
+# the monomial evaluator against the operator fold it replaces
+
+
+def reference(text, atom, unity, divide):
+    """text folded one operator at a time with the values' own operators,
+    left to right: the evaluation order the monomial evaluator must
+    reproduce.  atom(lexeme) is an integer's or a name's value, unity(q)
+    that of w(q), and divide(a, b) a quotient.  Valid input only."""
+    toks, pos = [t.value for t in tokenize(text)], 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def expr():
+        value = unary()
+        while toks[pos] in ("+", "-"):
+            value = value + unary() if take() == "+" else value - unary()
+        return value
+
+    def unary():
+        minus = False
+        while toks[pos] in ("+", "-"):
+            minus ^= take() == "-"
+        value = term()
+        return -value if minus else value
+
+    def term():
+        value = power()
+        while toks[pos] in ("*", "/"):
+            value = value * power() if take() == "*" else divide(value, power())
+        return value
+
+    def power():
+        value = primary()
+        while toks[pos] == "^":
+            take()
+            value = value ** int(take())
+        return value
+
+    def primary():
+        tok = take()
+        if tok == "(":
+            value = expr()
+            take()
+            return value
+        if tok == "i":
+            return unity(4)
+        if tok == "w" and toks[pos] == "(":
+            take()
+            q = int(take())
+            take()
+            return unity(q)
+        return atom(tok)
+
+    return expr()
+
+
+def poly_reference(text, n):
+    return reference(
+        text,
+        lambda tok: MPoly.constant(n, int(tok)) if tok.isdigit() else MPoly.variable(n, int(tok[1:])),
+        lambda q: MPoly.constant(n, root_of_unity(q, q)),
+        lambda a, b: a / b.constant_value(),
+    )
+
+
+def tower_reference(text, spec, level):
+    def atom(tok):
+        if tok.isdigit():
+            return spec.scalar(int(tok))
+        if tok[0] == "s":
+            return spec.from_sigma_poly(MPoly.variable(spec.n, int(tok[1:])))
+        assert int(tok[1:]) <= level
+        return spec.generator(int(tok[1:]))
+
+    return reference(
+        text, atom, lambda q: spec.scalar(root_of_unity(q, q)),
+        lambda a, b: a * TowerElem(spec, 0, b.payload.inv()),
+    )
+
+
+def shape(e):
+    """A tower element down to the unreduced numerator and denominator of
+    each level-0 coordinate, as abelize prints them."""
+    if e.level == 0:
+        return e.payload.num.render(), e.payload.den.render()
+    return tuple(shape(c) for c in e.payload)
+
+
+def expressions(atoms, exponents=("", "", "^0", "^1", "^2", "^3")):
+    """Sums of unary-signed products of powers of atoms and parenthesised
+    subexpressions, with divisions by nonzero rational constants."""
+    divisors = st.sampled_from(["/2", "/3", "/(-4)", "/(2/3)", "/ 5", "/(-1/2)^2"])
+
+    def extend(inner):
+        factor = st.tuples(
+            st.one_of(st.sampled_from(atoms), inner.map(lambda e: f"({e})")),
+            st.sampled_from(exponents),
+        ).map("".join)
+        term = st.tuples(
+            factor,
+            st.lists(st.one_of(st.tuples(st.sampled_from(["*", " * "]), factor).map("".join),
+                               divisors), max_size=3),
+        ).map(lambda t: t[0] + "".join(t[1]))
+        signed = st.tuples(st.sampled_from(["", "", "-", "--", "- -", "+", "-+-"]), term)
+        return st.tuples(
+            signed.map("".join),
+            st.lists(st.tuples(st.sampled_from(["+", "-", " - ", "+-", "--"]), term).map("".join),
+                     max_size=3),
+        ).map(lambda t: t[0] + "".join(t[1]))
+
+    return st.recursive(st.sampled_from(atoms), extend, max_leaves=8)
+
+
+POLY_ATOMS = ["x1", "x2", "x3", "x1", "x2", "0", "1", "2", "3", "12", "i", "w(3)", "w(4)", "w(6)",
+              "w(1)"]
+RATIONAL_ATOMS = ["x1", "x2", "x3", "x1", "x2", "0", "1", "2", "3", "12"]
+
+
+class TestMonomialEvaluation:
+    @seed(21)
+    @settings(max_examples=300, deadline=None)
+    @given(expressions(POLY_ATOMS))
+    def test_poly_matches_operator_fold(self, text):
+        got = parse_expression(text, x_ctx(3))
+        want = poly_reference(text, 3)
+        assert got == want
+        assert got.render() == want.render()
+
+    @seed(22)
+    @settings(max_examples=100, deadline=None)
+    @given(expressions(RATIONAL_ATOMS))
+    def test_rational_expressions_match_sympy(self, text):
+        sympy = pytest.importorskip("sympy")
+        xs = sympy.symbols("x1:4")
+        got = parse_expression(text, x_ctx(3))
+        as_sympy = sum(
+            (sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
+             * sympy.prod([x ** e for x, e in zip(xs, exps)])
+             for exps, c in got.terms.items()),
+            sympy.Integer(0),
+        )
+        want = sympy.sympify(text.replace("^", "**"), locals=dict(zip(("x1", "x2", "x3"), xs)))
+        assert sympy.expand(want - as_sympy) == 0
+
+    @pytest.mark.parametrize("name", ["degree2.tower", "degree3.tower"])
+    def test_tower_fixtures_match_operator_fold(self, name):
+        text = (ROOT / "fixtures" / name).read_text()
+        doc = formula.parse(text)
+        spec = TowerSpec(doc.spec.n)
+        for line in text.splitlines():
+            head, _, source = line.partition("=")
+            if head.startswith("p "):
+                j = int(head.split()[1])
+                spec.add_level(doc.spec.ks[j], tower_reference(source, spec, j))
+            elif head.startswith("target"):
+                target = tower_reference(source, spec, spec.s)
+        assert [shape(p) for p in spec.ps] == [shape(p) for p in doc.spec.ps]
+        assert shape(target) == shape(doc.target)
+
+    @pytest.mark.parametrize("text, want", [
+        ("s1/2 + s2/4", ("4*x1 + 2*x2", "8")),
+        ("s1/2 + s2/4 - s1/(-4)", ("-24*x1 - 8*x2", "-32")),
+        ("1/2*s1^2 - 3/4*s2 + 5/6", ("24*x1^2 - 36*x2 + 40", "48")),
+        ("(s1/2 + s2/4)*y1 + s1/3", (("x1", "3"), ("4*x1 + 2*x2", "8"))),
+    ])
+    def test_tower_sums_keep_unreduced_denominators(self, text, want):
+        # RatFunc never reduces, so a sum over unequal denominators
+        # multiplies them, and abelize prints the result as it is
+        spec = quad_tower()
+        assert shape(parse_expression(text, TowerContext(spec, 1))) == want
+        assert shape(tower_reference(text, spec, 1)) == want
+
+    @seed(23)
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["degree2.tower", "degree3.tower"]), st.data())
+    def test_tower_expressions_match_operator_fold(self, name, data):
+        spec = fixture_tower(name)
+        atoms = ["s1", "s2", "s1", "s2", "0", "1", "2", "3", "w(3)", "i"] + [
+            f"y{j}" for j in range(1, spec.s + 1)]
+        text = data.draw(expressions(atoms, exponents=("", "", "^0", "^1", "^2")))
+        got = parse_expression(text, TowerContext(spec, spec.s))
+        assert shape(got) == shape(tower_reference(text, spec, spec.s))
+
+
+@functools.cache
+def fixture_tower(name):
+    return formula.parse((ROOT / "fixtures" / name).read_text()).spec
+
+
+# ---------------------------------------------------------------------------
+# errors and outputs recorded from the operator-fold parser that the
+# monomial evaluator replaced
+
+
+def pinned_ctx(name):
+    if name == "tower":
+        return TowerContext(quad_tower(), 1)
+    if name == "f":
+        return PolyContext(3, {"x1": 1, "x2": 2, "x3": 3}, where="p 1")
+    return x_ctx(int(name[1:]))
+
+
+PINNED_ERRORS = [
+    ("x2", "x1 + $", 7, ("DslError", "unexpected character '$' (line 7, column 6)", 7, 6)),
+    ("x1", "1 + w(101)", 2, ("DslError", "root-of-unity order 101 exceeds the cap 100 (line 2, column 7)", 2, 7)),
+    ("tower", "1 + w(101)", 2, ("DslError", "root-of-unity order 101 exceeds the cap 100 (line 2, column 7)", 2, 7)),
+    ("x2", "x1 + q7", 3, ("DslError", "unknown variable 'q7' (expected one of: x1, x2) (line 3, column 6)", 3, 6)),
+    ("x2", "x1/x2", 1, ("DslError", "division by a non-constant polynomial is not allowed here (line 1, column 3)", 1, 3)),
+    ("x2", "x1/0", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
+    ("x1", "x1 x1", 1, ("DslError", "unexpected 'x1' (line 1, column 4)", 1, 4)),
+    ("x1", "x1 +", 1, ("DslError", "expected a value, found 'end of line' (line 1, column 5)", 1, 5)),
+    ("x1", "x1^x1", 1, ("DslError", "exponent must be a nonnegative integer (line 1, column 4)", 1, 4)),
+    ("tower", "s1/y1", 1, ("DslError", "divisors must be radical-free (no y-variables) (line 1, column 3)", 1, 3)),
+    ("tower", "y2", 1, ("DslError", "unknown variable 'y2' (expected s1..s2 or y1..y1) (line 1, column 1)", 1, 1)),
+    ("tower", "s3", 1, ("DslError", "unknown variable 's3' (expected s1..s2 or y1..y1) (line 1, column 1)", 1, 1)),
+    ("x3", "x1*q7*x2", 4, ("DslError", "unknown variable 'q7' (expected one of: x1, x2, x3) (line 4, column 4)", 4, 4)),
+    ("x3", "x1*x2/0", 1, ("DslError", "division by zero (line 1, column 6)", 1, 6)),
+    ("x3", "x1*x2/x3", 1, ("DslError", "division by a non-constant polynomial is not allowed here (line 1, column 6)", 1, 6)),
+    ("x3", "x1*x2 + x1^", 5, ("DslError", "exponent must be a nonnegative integer (line 5, column 12)", 5, 12)),
+    ("x3", "x1*w(0)*x2", 1, ("DslError", "root-of-unity order must be positive (line 1, column 6)", 1, 6)),
+    ("x3", "x1*w(101)*x2", 1, ("DslError", "root-of-unity order 101 exceeds the cap 100 (line 1, column 6)", 1, 6)),
+    ("x3", "x1*w(x)*x2", 1, ("DslError", "w(...) takes an integer order (line 1, column 6)", 1, 6)),
+    ("x3", "2*w(3*x2", 1, ("DslError", "expected ')', found '*' (line 1, column 6)", 1, 6)),
+    ("x3", "x1*(x2 + x3", 1, ("DslError", "expected ')', found 'end of line' (line 1, column 12)", 1, 12)),
+    ("x3", "x1*x2)", 1, ("DslError", "unexpected ')' (line 1, column 6)", 1, 6)),
+    ("x3", "x1*", 1, ("DslError", "expected a value, found 'end of line' (line 1, column 4)", 1, 4)),
+    ("x3", "x1 = 2", 1, ("DslError", "unexpected '=' (line 1, column 4)", 1, 4)),
+    ("x3", "", 1, ("DslError", "expected a value, found 'end of line' (line 1, column 1)", 1, 1)),
+    ("x3", "-", 1, ("DslError", "expected a value, found 'end of line' (line 1, column 2)", 1, 2)),
+    ("x3", "x1*-x2", 1, ("DslError", "expected a value, found '-' (line 1, column 4)", 1, 4)),
+    ("x3", "x1/(x2 - x2)", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
+    ("x3", "x1/(2 - 2)", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
+    ("x3", "x1/0^2", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
+    ("x3", "x1^2^", 1, ("DslError", "exponent must be a nonnegative integer (line 1, column 6)", 1, 6)),
+    ("x3", "w*x1", 1, ("DslError", "unknown variable 'w' (expected one of: x1, x2, x3) (line 1, column 1)", 1, 1)),
+    ("x3", "x1 + 2 ²", 1, ("DslError", "unexpected character '²' (line 1, column 8)", 1, 8)),
+    ("f", "3*x1*x9", 2, ("DslError", "unknown variable 'x9' in p 1 (expected one of: x1, x2, x3) (line 2, column 6)", 2, 6)),
+    ("tower", "s1*s2/(s1 - s1)", 1, ("DslError", "division by zero (line 1, column 6)", 1, 6)),
+    ("tower", "s1*y1*s9", 1, ("DslError", "unknown variable 's9' (expected s1..s2 or y1..y1) (line 1, column 7)", 1, 7)),
+    ("tower", "s1*s2/y1", 1, ("DslError", "divisors must be radical-free (no y-variables) (line 1, column 6)", 1, 6)),
+    ("x3", "x1^4294967295*x1", 1, ("ExponentOverflowError", "exponent of x1 overflows its 32-bit field", None, None)),
+    ("x3", "(x1*x2)^65536^65536", 1, ("ExponentOverflowError", "exponent of x1 overflows its 32-bit field", None, None)),
+    ("x3", "x2*x1^4294967296", 1, ("ExponentOverflowError", "exponent of x1 overflows its 32-bit field", None, None)),
+]
+
+
+@pytest.mark.parametrize("ctx, text, line, want", PINNED_ERRORS)
+def test_errors_as_pinned(ctx, text, line, want):
+    with pytest.raises((DslError, OverflowError)) as err:
+        parse_expression(text, pinned_ctx(ctx), line)
+    got = err.value
+    assert (type(got).__name__, str(got), getattr(got, "line", None), getattr(got, "col", None)) == want
+
+
+@pytest.mark.parametrize("text, bound", [
+    ("x1^4294967295*x1", 4294967296), ("x1*x2/0", 2), ("(x1 - x1)^3", 3), ("w(101)*x1", 1),
+    ("x1/x2^5", 1), ("2^99999999*x1", 1), ("0*x1^7 + x2", 7),
+    ("(x1 + x2^2)^3*i/(2/3) - x3", 6), ("x1^0", 0), ("7", 0),
+])
+def test_degree_bound_as_pinned(text, bound):
+    assert degree_bound(text, x_ctx(3)) == bound
+
+
+def test_degree_bound_checks_names_where_the_parse_would():
+    with pytest.raises(DslError) as err:
+        degree_bound("x1*q7*x2", x_ctx(3))
+    assert (err.value.line, err.value.col) == (1, 4)
+
+
+def test_lcm_of_orders_above_the_cap_is_reported_at_the_operator():
+    assert parse_expression("w(7)*w(11)", x_ctx(1)).order == 77
+    for text, col in [("x1+x2+w(7)*w(11)*w(13)", 17), ("x1+x2+w(7)*w(11)+w(13)", 17),
+                      ("w(7)*w(11)*x1/w(13)", 14)]:
+        with pytest.raises(DslError, match="order 1001 exceeds the cap 100") as err:
+            parse_expression(text, x_ctx(2), line_no=3)
+        assert (err.value.line, err.value.col) == (3, col)
+    with pytest.raises(DslError, match="order 1001 exceeds the cap") as err:
+        parse_expression("w(7)*w(11)*y1*w(13)", TowerContext(quad_tower(), 1))
+    assert err.value.col == 14
+
+
+def test_a_variable_named_w_leaves_w_of_q_a_root_of_unity():
+    got = parse_expression("w*x1 + w(3) - w", PolyContext(2, {"w": 1, "x1": 2}))
+    assert got.render(["w", "x1"]) == "w*x1 - w + w(3)"
+
+
+def test_no_token_on_the_parse_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Token was built")
+
+    want = poly_reference("x1*x2^2 - 1/2*x3", 3)
+    monkeypatch.setattr(dsl, "Token", refuse)
+    monkeypatch.setattr(dsl.re, "compile", refuse)
+    assert parse_expression("x1*x2^2 - 1/2*x3", x_ctx(3)) == want
+    assert max_name_index("x1*x3 + x2^2", "x") == 3
+
+
+def test_corpus_candidates_round_trip():
+    for name, candidate in corpus.adversarial_candidates():
+        text = formula.serialize(candidate)
+        assert formula.serialize(formula.parse(text)) == text, name
+
+
+def test_seeded_chains_serialize_as_pinned():
+    loader = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    texts = [op["text"] for op in gen.diagnose_pass(5, 0) if op["kind"] == "chain"]
+    out = [formula.serialize(formula.parse(t)) for t in texts]
+    assert len(out) == 200
+    assert all(formula.serialize(formula.parse(s)) == s for s in out)
+    # recorded from the operator-fold parser
+    digest = hashlib.sha1("\n".join(out).encode()).hexdigest()
+    assert digest == "f99a5cedaf50c3e1f515ee52fe8e02f5cb125ff4"

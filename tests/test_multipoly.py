@@ -413,3 +413,13 @@ def test_rational_coefficients_stay_canonical(p, q):
         _assert_canonical(r)
     assert _same(p * Fraction(2, 3) * Fraction(3, 2), p)
     assert _same((p + q) - q, p)
+
+
+def test_combined_order_is_capped():
+    a = MPoly.variable(1, 1) * root_of_unity(7, 7) * root_of_unity(11, 11)
+    assert a.order == 77
+    w13 = MPoly.constant(1, root_of_unity(13, 13))
+    for combine in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ValueError, match="order 1001 exceeds the cap 100"):
+            combine(a, w13)
+    assert (w13 * w13 - w13).order == 13
