@@ -16,6 +16,8 @@ Frozen oracles used below, computed by hand before these tests were run:
   ((x1 - x2)^2, x1 - x2).
 """
 
+import hashlib
+import pathlib
 import random
 from fractions import Fraction
 from math import prod
@@ -23,6 +25,7 @@ from math import prod
 import pytest
 
 from radform import formula as formula_module
+from radform.corpus import adversarial_candidates
 from radform.cyclotomic import root_of_unity
 from radform.dsl import DslError
 from radform.formula import (
@@ -145,6 +148,177 @@ class TestParsing:
             parse(text)
         assert err.value.line == 2
         assert "column" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the document layer pinned: every refusal's message and position, and the
+# bytes that serialize writes back
+
+
+S1 = "scheme n=2 s=1\n"
+P1 = "polyformula n=2 s=1\n"
+T1 = "towerformula n=2 s=1\n"
+
+# (document, message without its position suffix, line, column)
+BAD_DOCUMENTS = [
+    ("", "empty document", None, None),
+    ("# nothing here\n", "empty document", None, None),
+    ("k 2\np 0 = a0\n", "expected a header like 'polyformula n=2 s=1'", 1, 1),
+    ("  scheme n=2\n", "expected a header like 'polyformula n=2 s=1'", 1, 1),
+    ("scheme n=0 s=0\np 0 = 1\n", "degree n must be at least 1", 1, None),
+    ("towerformula n=0 s=0\ntarget = 1\n", "degree n must be at least 1", 1, None),
+    (S1 + "k 2 3\n", "k line lists 2 exponents but the header says s=1", 2, None),
+    (T1 + "k 2 2\n", "k line lists 2 exponents but the header says s=1", 2, None),
+    (S1 + "k 0\n", "radical exponents must be positive", 2, None),
+    (T1 + "k 0\n", "radical exponents must be positive", 2, None),
+    (T1 + "k 4\n", "radical degree 4 is not prime; factor composite degrees "
+     "before writing a tower document", 2, None),
+    ("towerformula n=2 s=2\nk 2 6\n", "radical degree 6 is not prime; factor "
+     "composite degrees before writing a tower document", 2, None),
+    (S1 + "k 2\nk 2\n", "duplicate k line", 3, None),
+    (P1 + "k 2\nk 2\n", "duplicate k line", 3, None),
+    (T1 + "k 2\nk 2\n", "duplicate k line", 3, None),
+    (S1 + "p 2 = a0\n", "p index 2 exceeds s=1", 2, None),
+    (P1 + "p 3 = s1\n", "p index 3 exceeds s=1", 2, None),
+    (S1 + "p 0 = a0\np 0 = a1\n", "duplicate definition of p 0", 3, None),
+    (P1 + "p 0 = s1\np 0 = s2\n", "duplicate definition of p 0", 3, None),
+    (S1 + "witness 1 = x1\n", "witness lines belong to polyformula documents", 2, None),
+    (T1 + "witness 1 = x1\n", "witness lines belong to polyformula documents", 2, None),
+    (P1 + "witness 0 = x1\n", "witness index must be 1..1", 2, None),
+    (P1 + "witness 2 = x1\n", "witness index must be 1..1", 2, None),
+    (P1 + "witness 1 = x1\nwitness 1 = x2\n", "duplicate witness 1", 3, None),
+    (S1 + "target = a0\n",
+     "target lines belong to towerformula documents, not scheme", 2, None),
+    (P1 + "target = s1\n",
+     "target lines belong to towerformula documents, not polyformula", 2, None),
+    (S1 + "assert-nonpower 1\n", "assert-nonpower applies to towerformula documents", 2, None),
+    (P1 + "assert-nonpower 1\n", "assert-nonpower applies to towerformula documents", 2, None),
+    (S1 + "q 1 = a0\n", "unrecognized line 'q 1 = a0'", 2, None),
+    (P1 + "k2\n", "unrecognized line 'k2'", 2, None),
+    (T1 + "  frob  \n", "unrecognized line 'frob'", 2, None),
+    (S1 + "p 0 = a0\np 1 = z1\n", "missing k line", None, None),
+    (P1 + "p 0 = s1\np 1 = f1\nwitness 1 = x1\n", "missing k line", None, None),
+    (T1 + "assert-nonpower 7\n", "missing k line", None, None),
+    (S1 + "k 2\np 0 = a0\n", "missing definition of p 1", None, None),
+    (P1 + "k 2\np 1 = f1\nwitness 1 = x1\n", "missing definition of p 0", None, None),
+    (T1 + "k 2\n", "missing definition of p 0", None, None),
+    ("towerformula n=2 s=2\nk 2 2\np 0 = s1\n", "missing definition of p 1", None, None),
+    (P1 + "k 2\np 0 = s1\np 1 = f1\n", "missing witness 1", None, None),
+    ("polyformula n=2 s=2\nk 2 2\np 0 = s1\np 2 = f1\np 1 = f1\nwitness 1 = x1\n",
+     "missing witness 2", None, None),
+    (T1 + "k 2\np 0 = s1\n", "missing target line", None, None),
+    (T1 + "p 0 = s1\n", "the k line must precede p definitions", 2, None),
+    ("towerformula n=2 s=0\np 0 = s1\n", "the k line must precede p definitions", 2, None),
+    (T1 + "k 2\np 1 = s1\n", "tower documents define p 0..p 0; the final element "
+     "is the target line", 3, None),
+    ("towerformula n=2 s=2\nk 2 2\np 1 = y1\n",
+     "p levels must appear in ascending order; expected p 0", 3, None),
+    (T1 + "k 2\np 0 = s1\np 0 = s2\n",
+     "p levels must appear in ascending order; expected p 1", 4, None),
+    (T1 + "target = s1\n", "all p levels must be defined before the target", 2, None),
+    ("towerformula n=2 s=2\nk 2 2\np 0 = s1\ntarget = y1\n",
+     "all p levels must be defined before the target", 4, None),
+    (T1 + "k 2\np 0 = s1\ntarget = y1\ntarget = y1\n", "duplicate target line", 5, None),
+    (T1 + "k 2\np 0 = s1\ntarget = y1\nassert-nonpower 2\n",
+     "assert-nonpower level must be 1..1", 5, None),
+    (T1 + "assert-nonpower 0\nk 2\np 0 = s1\ntarget = y1\n",
+     "assert-nonpower level must be 1..1", 2, None),
+    (S1 + "k 2\np 0 = a0\np 1 = z2\n",
+     "unknown variable 'z2' in p 1 (expected one of: a0, a1, z1)", 4, 7),
+    (P1 + "k 2\np 0 = x1\n", "unknown variable 'x1' in p 0 (expected one of: s1, s2)", 3, 7),
+    (P1 + "k 2\np 0 = s1\np 1 = f1\nwitness 1 = s1\n",
+     "unknown variable 's1' in witness 1 (expected one of: x1, x2)", 5, 13),
+    (T1 + "k 2\np 0 = y1\n", "unknown variable 'y1' (expected s1..s2)", 3, 7),
+    (T1 + "k 2\np 0 = s3\n", "unknown variable 's3' (expected s1..s2)", 3, 7),
+    (T1 + "k 2\np 0 = s1\ntarget = y2\n",
+     "unknown variable 'y2' (expected s1..s2 or y1..y1)", 4, 10),
+    (T1 + "k 2\np 0 = s1\ntarget = s1/y1\n",
+     "divisors must be radical-free (no y-variables)", 4, 12),
+    (S1 + "k 2\n   p 0 = a0 + $\n", "unexpected character '$'", 3, 12),
+    (P1 + "k 2\np 0 = s1^2 - 4*)s2\n", "expected a value, found ')'", 3, 16),
+    (P1 + "k 2\np 0 = s1 / 0\n", "division by zero", 3, 10),
+    (P1 + "k 2\np 0 = s1 / s2\n",
+     "division by a non-constant polynomial is not allowed here", 3, 10),
+    (P1 + "k 2\np 0 = s1^x\n", "exponent must be a nonnegative integer", 3, 10),
+    (P1 + "k 2\np 0 = w(0)\n", "root-of-unity order must be positive", 3, 9),
+    (P1 + "k 2\np 0 = w(s1)\n", "w(...) takes an integer order", 3, 9),
+    (P1 + "k 2\np 0 = w(101)\n", "root-of-unity order 101 exceeds the cap 100", 3, 9),
+    (P1 + "k 2\np 0 = (s1\n", "expected ')', found 'end of line'", 3, 10),
+    (P1 + "k 2\np 0 =\n", "expected a value, found 'end of line'", 3, 6),
+    (P1 + "k 2\np 0 = s1 s2\n", "unexpected 's2'", 3, 10),
+]
+
+
+@pytest.mark.parametrize("text, message, line, col", BAD_DOCUMENTS)
+def test_bad_document_refusal_is_pinned(text, message, line, col):
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        str(DslError(message, line, col)), line, col
+    )
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+# serialize(parse(text)) of the fixtures that do not already read back as
+# themselves: a tower target is written as a sum over its radical's powers
+REWRITTEN_FIXTURES = {
+    "degree2.tower": (
+        "towerformula n=2 s=1\n"
+        "k 2\n"
+        "p 0 = s1^2 - 4*s2\n"
+        "target = (s1)/(2) + ((1)/(2))*y1\n"
+        "assert-nonpower 1\n"
+    ),
+    "degree3.tower": (
+        "towerformula n=3 s=3\n"
+        "k 2 3 3\n"
+        "p 0 = 108*s1^3*s3 - 27*s1^2*s2^2 - 486*s1*s2*s3 + 108*s2^3 + 729*s3^2\n"
+        "p 1 = (2*s1^3 - 9*s1*s2 + 27*s3)/(2) + ((1)/(2))*y1\n"
+        "p 2 = (2*s1^3 - 9*s1*s2 + 27*s3)/(2) + ((-1)/(2))*y1\n"
+        "target = (s1)/(3) + ((1)/(3))*y2 + ((1)/(3))*y3\n"
+        "assert-nonpower 1\n"
+        "assert-nonpower 2\n"
+        "assert-nonpower 3\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", [
+    "degree2.poly", "degree2.tower", "degree2_broken.poly",
+    "degree3.poly", "degree3.tower", "degree5_candidate.poly",
+])
+def test_fixture_serialization_is_pinned(name):
+    text = (FIXTURES / name).read_text()
+    assert serialize(parse(text)) == REWRITTEN_FIXTURES.get(name, text)
+
+
+# sha256 of serialize(parse(serialize(candidate))) for each corpus candidate
+CANDIDATE_DIGESTS = {
+    "no-radicals": "3633e269f88671bd4a2a8ad13a3b6a0251262982565268661ea3571400ba3976",
+    "radical-free-mix": "41e24450d4dadc8bd03197853403ffccb6524f3b318233aa6f8aa96a59412d4c",
+    "sum-root": "6c94370bf564ae23574ef2b31acb8ef716947fe0f53ec22709d8f01db89ca09e",
+    "product-root": "50a3903d69fca26865b26cad2ac00b4a347ff80f7e60bb6d416127e7e8ecbcef",
+    "broken-first-radicand": "5570bc23ef12b5082701bf89b64c663ae2fa69b3d82fa005acac554f44fc1813",
+    "quadratic-formula-lookalike":
+        "6bdbfaa3383c3d885a38107084c69ada0cfd7f865903ffed3c78ba3a78a110eb",
+    "two-level-tower": "bc6d2bd437dc0ce11ff3ef43397cab10b192b2f3fbd24f869aa17e0ca330eff7",
+    "broken-second-level": "504e4b14bb4d18c2c453b3f0b7c4aef3258e41cf0560d42e759450c1bf1a9133",
+    "fourth-root": "68bf6df842ae02eeef20900f0bdcddb7593c1be994a7e0007f3cc0f9745150c0",
+    "zero-witness": "46e9b09f416b80976a6a495b138222b5dcc0d8a05ae2fd846150bd48cd8392fb",
+    "deep-chain": "200045bcd4bfabe12711b0253971329e6558dbc4c56638f0f51ac54999c5bbca",
+    "cube-chain": "1d708f0143d6a19af27ecc771f51862da7015a87068b698aafc6200a86f7118f",
+}
+
+
+def test_corpus_serialization_is_pinned():
+    candidates = adversarial_candidates()
+    assert [name for name, _ in candidates] == list(CANDIDATE_DIGESTS)
+    for name, candidate in candidates:
+        text = serialize(candidate)
+        again = serialize(parse(text))
+        assert again == text, name
+        assert hashlib.sha256(again.encode()).hexdigest() == CANDIDATE_DIGESTS[name], name
 
 
 class TestSerialization:
