@@ -21,6 +21,7 @@ from radform.dsl import (
     degree_bound,
     max_name_index,
     parse_expression,
+    read_int,
 )
 from radform.formula import (
     FormalRadicalFormula,
@@ -30,6 +31,7 @@ from radform.formula import (
     parse,
     serialize,
     to_poly_formula,
+    variable_names,
     verify_poly_formula,
 )
 from radform.multipoly import ExponentOverflowError, symmetrize
@@ -64,16 +66,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _over_cap(config: CliConfig, expr: str, ctx) -> str | None:
-    """Why expr is refused, when its syntactic degree bound exceeds the cap;
-    checked before anything is expanded."""
+def _inline_polynomial(config: CliConfig, expr: str, n: int):
+    """(f, None): expr as a polynomial in the witness-line variables x1..xn;
+    or (None, why) when its syntactic degree bound exceeds the cap, which
+    is checked before anything is expanded."""
+    ctx = PolyContext.of_names(variable_names("polyformula", "witness", n), where="f")
     bound = degree_bound(expr, ctx)
     if bound > config.max_degree:
-        return (
-            f"degree bound {bound} exceeds the cap {config.max_degree} "
-            "(raise it with --max-degree)"
-        )
-    return None
+        return None, (f"degree bound {bound} exceeds the cap {config.max_degree} "
+                      "(raise it with --max-degree)")
+    return parse_expression(expr, ctx), None
 
 
 def _read_document(path: str):
@@ -149,12 +151,10 @@ def cmd_character(config: CliConfig, expr: str, q: int, perms) -> int:
     n = max(max_name_index(expr, "x"), 1)
     for text in perms:
         for digits in re.findall(r"\d+", text):
-            n = max(n, int(digits))
-    ctx = PolyContext(n, {f"x{i}": i for i in range(1, n + 1)}, where="f")
-    refusal = _over_cap(config, expr, ctx)
+            n = max(n, read_int(digits))
+    f, refusal = _inline_polynomial(config, expr, n)
     if refusal:
         return _fail(refusal, 1)
-    f = parse_expression(expr, ctx)
     lines = []
     for text in perms:
         try:
@@ -174,17 +174,14 @@ def cmd_symmetrize(config: CliConfig, expr: str) -> int:
     n = max_name_index(expr, "x")
     if n == 0:
         return _fail("expression mentions no x-variables", 2)
-    ctx = PolyContext(n, {f"x{i}": i for i in range(1, n + 1)}, where="f")
-    refusal = _over_cap(config, expr, ctx)
+    f, refusal = _inline_polynomial(config, expr, n)
     if refusal:
         return _fail(refusal, 1)
-    f = parse_expression(expr, ctx)
     try:
         result = symmetrize(f)
     except ValueError as err:
         return _fail(str(err), 1)
-    names = [f"s{i}" for i in range(1, n + 1)]
-    _emit(config, result.poly.render(names))
+    _emit(config, result.poly.render(variable_names("polyformula", "p", n)))
     return 0
 
 
@@ -258,6 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {
+    "verify": lambda config, args: cmd_verify(config),
+    "obstruct": lambda config, args: cmd_obstruct(config),
+    "character": lambda config, args: cmd_character(config, args.expr, args.q, args.perms),
+    "symmetrize": lambda config, args: cmd_symmetrize(config, args.expr),
+    "abelize": lambda config, args: cmd_abelize(config),
+    "builtin": lambda config, args: cmd_builtin(config, args.name),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = CliConfig(
@@ -268,25 +275,13 @@ def main(argv=None) -> int:
         verbose=args.verbose,
     )
     try:
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "obstruct":
-            return cmd_obstruct(config)
-        if args.command == "character":
-            return cmd_character(config, args.expr, args.q, args.perms)
-        if args.command == "symmetrize":
-            return cmd_symmetrize(config, args.expr)
-        if args.command == "abelize":
-            return cmd_abelize(config)
-        if args.command == "builtin":
-            return cmd_builtin(config, args.name)
+        return _COMMANDS[args.command](config, args)
     except DslError as err:
         return _fail(str(err), 2)
     except (ExponentOverflowError, OrderCapError) as err:
         return _fail(str(err), 1)
     except OSError as err:
         return _fail(str(err), 2)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

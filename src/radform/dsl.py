@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import collections
 import re
+import sys
 
 from radform.cyclotomic import FIELD_BITS, OrderCapError, root_of_unity
 from radform.multipoly import MPoly, _make
@@ -37,6 +38,7 @@ __all__ = [
     "TowerContext",
     "max_name_index",
     "parse_expression",
+    "read_int",
     "tokenize",
 ]
 
@@ -79,11 +81,21 @@ def tokenize(text: str, line_no: int = 1) -> list[Token]:
     ]
 
 
+def read_int(digits: str, line: int | None = None, col: int | None = None) -> int:
+    """The value of a run of decimal digits that a user wrote; one longer
+    than Python's integer string-conversion limit is a DslError there."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise DslError(f"integer of {len(digits)} digits exceeds the limit of "
+                       f"{sys.get_int_max_str_digits()} digits", line, col) from None
+
+
 def max_name_index(text: str, letter: str) -> int:
     """Largest N such that `letterN` occurs as a name in the text; 0 if none."""
     n = len(letter)
-    return max((int(v[n:]) for v in _lex(text, 1) if v[:n] == letter and v[n:].isdigit()),
-               default=0)
+    return max((read_int(v[n:], 1, col + n) for v, col in zip(_lex(text, 1), _columns(text))
+                if v[:n] == letter and v[n:].isdigit()), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +119,11 @@ class PolyContext(_Context):
     def __init__(self, nvars: int, var_map: dict[str, int], where: str = ""):
         super().__init__(nvars)
         self.nvars, self.var_map, self.where = nvars, var_map, where
+
+    @classmethod
+    def of_names(cls, names: list[str], where: str = "") -> "PolyContext":
+        """The context whose variables are names, numbered from 1."""
+        return cls(len(names), {v: i for i, v in enumerate(names, 1)}, where)
 
     def unity_root(self, q: int):
         return MPoly.constant(self.nvars, root_of_unity(q, q))
@@ -145,7 +162,7 @@ class TowerContext(_Context):
         return self.spec.scalar(root_of_unity(q, q))
 
     def variable(self, name: str):
-        idx = int(name[1:]) if name[1:].isdigit() else 0
+        idx = read_int(name[1:]) if name[1:].isdigit() else 0
         if name[0] == "s" and 1 <= idx <= self.spec.n:
             (key,) = MPoly.variable(self.spec.n, idx)._terms
             return 1, key, 1
@@ -226,6 +243,13 @@ class _Parser:
         except (DslError, OrderCapError) as err:
             self.fail(str(err), pos)
 
+    def integer(self, pos: int) -> int:
+        """The integer lexeme at pos, an over-long one refused there."""
+        try:
+            return read_int(self.lex[pos])
+        except DslError as err:
+            self.fail(str(err), pos)
+
     def expect(self, op: str):
         tok = self.lex[self.pos]
         if tok != op:
@@ -287,10 +311,9 @@ class _Parser:
         lex = self.lex
         value = self.atom()
         while lex[pos := self.pos] == "^":
-            exponent = lex[pos + 1]
-            if not exponent.isdigit():
+            if not lex[pos + 1].isdigit():
                 self.fail("exponent must be a nonnegative integer", pos + 1)
-            self.pos, e = pos + 2, int(exponent)
+            self.pos, e = pos + 2, self.integer(pos + 1)
             if type(value) is tuple and value[1] * e < self.ctx.cap:
                 value = (value[0] ** e, value[1] * e, value[2] ** e)
             else:
@@ -310,20 +333,20 @@ class _Parser:
         if tok == "i":
             return ctx.unity_root(4)
         if tok == "w" and lex[pos + 1] == "(":
-            q = lex[pos + 2]
-            if not q.isdigit() or int(q) < 1:
-                self.fail("root-of-unity order must be positive" if q.isdigit()
-                          else "w(...) takes an integer order", pos + 2)
+            if not lex[pos + 2].isdigit():
+                self.fail("w(...) takes an integer order", pos + 2)
+            if (q := self.integer(pos + 2)) < 1:
+                self.fail("root-of-unity order must be positive", pos + 2)
             self.pos = pos + 3
             self.expect(")")
             try:
-                return ctx.unity_root(int(q))
+                return ctx.unity_root(q)
             except ValueError as err:
                 self.fail(str(err), pos + 2)
         if not tok[:1].isalnum():
             self.fail(f"expected a value, found {tok or 'end of line'!r}", pos)
         try:
-            atom = ctx.integer(int(tok)) if tok.isdigit() else ctx.variable(tok)
+            atom = ctx.integer(read_int(tok)) if tok.isdigit() else ctx.variable(tok)
         except DslError as err:
             self.fail(str(err), pos)
         if tok != "w":  # a later "w(" is a root of unity

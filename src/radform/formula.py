@@ -12,10 +12,16 @@ Three forms of the same idea, in increasing concreteness:
     polynomial witness in x_1..x_n, and all defining equalities become
     exact polynomial identities that verify_poly_formula checks.
 
-Documents are line-oriented: a header, a `k` line with the radical
-exponents, `p <j> = <expr>` definitions, plus `witness`/`target`/
-`assert-nonpower` lines depending on the document kind.  `#` starts a
-comment.
+Each form has a document kind, `scheme`, `towerformula` and
+`polyformula`: a header `<kind> n=<n> s=<s>`, then lines of the kinds
+that _LINE_KINDS lists, in any order except that a tower is built level
+by level (k, then p 0..p s-1, then target): a `k` line with the radical
+exponents, `p <j> = <expr>` definitions, and `witness <j> = <expr>`
+(polyformula) or `target = <expr>` and `assert-nonpower <j>`
+(towerformula).  One loop parses all three kinds and serialize writes
+them from the same tables.  `#` starts a comment.  Every integer is read
+by dsl.read_int, so one longer than Python's integer string-conversion
+limit (4,300 digits by default) is a DslError with its position.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import re
 from math import prod
 
-from radform.dsl import DslError, PolyContext, TowerContext, parse_expression
+from radform.dsl import DslError, PolyContext, TowerContext, parse_expression, read_int
 from radform.multipoly import (
     MPoly, _exps, _grouped, permute_vars, sigma_images, substitute, symmetrize,
 )
@@ -49,6 +55,7 @@ __all__ = [
     "parse",
     "serialize",
     "to_poly_formula",
+    "variable_names",
     "verify_poly_formula",
     "vieta_convert",
 ]
@@ -144,37 +151,64 @@ class FormalRadicalFormula:
 
 
 # ---------------------------------------------------------------------------
-# variable-name tables
+# the document grammar
 
+_KINDS = {
+    "scheme": SolvabilityScheme,
+    "polyformula": PolyRadicalFormula,
+    "towerformula": FormalRadicalFormula,
+}
 
-def _scheme_names(n, j):
-    return [f"a{t}" for t in range(n)] + [f"z{i}" for i in range(1, j + 1)]
+# (document kind, line kind) -> the letter and first index of the n ground
+# variables, and the letter of the radicals 1..j that a level-j line names
+_NAMES = {
+    ("scheme", "p"): ("a", 0, "z"),
+    ("polyformula", "p"): ("s", 1, "f"),
+    ("polyformula", "witness"): ("x", 1, ""),
+    ("towerformula", "p"): ("s", 1, "y"),
+    ("towerformula", "target"): ("s", 1, "y"),
+}
 
-
-def _poly_names(n, j):
-    return [f"s{i}" for i in range(1, n + 1)] + [f"f{i}" for i in range(1, j + 1)]
-
-
-def _x_names(n):
-    return [f"x{i}" for i in range(1, n + 1)]
-
-
-def _context(names, where):
-    """The parsing context whose variables are names, numbered from 1."""
-    return PolyContext(len(names), {v: i for i, v in enumerate(names, 1)}, where)
-
-
-# ---------------------------------------------------------------------------
-# document parsing
-
-_HEADER_RE = re.compile(
-    r"^(scheme|polyformula|towerformula)\s+n\s*=\s*(\d+)\s+s\s*=\s*(\d+)\s*$"
+# The line kinds: keyword; what follows it, as two regex groups (the
+# integer field: an index or the k line's exponents; and the expression,
+# the group a match of the kind closes last); the document kinds that hold
+# such lines; the refusal the other kinds print; and the noun that names
+# one line in duplicate and missing-line errors.
+_LINE_KINDS = (
+    ("k", r"\s+([\d\s]+)()", tuple(_KINDS), "", "k line"),
+    ("p", r"\s*(\d+)\s*=(.*)", tuple(_KINDS), "", "definition of p {}"),
+    ("witness", r"\s*(\d+)\s*=(.*)", ("polyformula",),
+     "witness lines belong to polyformula documents", "witness {}"),
+    ("target", r"()\s*=(.*)", ("towerformula",),
+     "target lines belong to towerformula documents, not {}", "target line"),
+    ("assert-nonpower", r"\s+(\d+)()\s*", ("towerformula",),
+     "assert-nonpower applies to towerformula documents", ""),
 )
-_K_RE = re.compile(r"^k\s+([\d\s]+)$")
-_P_RE = re.compile(r"^p\s*(\d+)\s*=(.*)$")
-_WITNESS_RE = re.compile(r"^witness\s*(\d+)\s*=(.*)$")
-_TARGET_RE = re.compile(r"^target\s*=(.*)$")
-_ATTEST_RE = re.compile(r"^assert-nonpower\s+(\d+)\s*$")
+_HEADER_RE = re.compile(rf"^({'|'.join(_KINDS)})\s+n\s*=\s*(\d+)\s+s\s*=\s*(\d+)\s*$")
+_LINE_RE = re.compile("|".join(f"{kw}{fields}$" for kw, fields, *_ in _LINE_KINDS))
+_NOUNS = {kw: noun for kw, *_, noun in _LINE_KINDS}
+
+
+def variable_names(kind: str, line: str, n: int, level: int = 0) -> list[str]:
+    """The variables that an expression on a `line` line of a `kind`
+    document may name at a level: n ground variables, then the radicals."""
+    ground, first, radical = _NAMES[kind, line]
+    return [f"{ground}{t}" for t in range(first, first + n)] + [
+        f"{radical}{i}" for i in range(1, level + 1)]
+
+
+def _level(line, j, s):
+    """The radicals that an expression line may name: p j's are 1..j, a
+    target's 1..s, a witness's none."""
+    return j if line == "p" else s if line == "target" else 0
+
+
+def _required(kind, s):
+    """(line kind, index) of each line a document must hold, in checking order."""
+    tower = kind == "towerformula"
+    return ([("k", None)] if s else []) + [("p", j) for j in range(s + 1 - tower)] + (
+        [("target", None)] if tower else
+        [("witness", j) for j in range(1, s + 1)] if kind == "polyformula" else [])
 
 
 def _document_lines(text):
@@ -186,21 +220,23 @@ def _document_lines(text):
     return lines
 
 
-def _expr_source(match, group):
-    """The expression tail, space-padded so token columns match the line."""
-    return " " * match.start(group) + match.group(group)
+def _int_field(match, group, line_no):
+    return read_int(match[group], line_no, match.start(group) + 1)
 
 
-def _parse_k_line(match, line_no, s):
-    values = [int(v) for v in match.group(1).split()]
-    if len(values) != s:
-        raise DslError(
-            f"k line lists {len(values)} exponents but the header says s={s}",
-            line_no,
-        )
-    if any(v < 1 for v in values):
+def _exponents(match, group, line_no, s, tower):
+    """The radical exponents of a k line, checked against the header's s."""
+    start = match.start(group) + 1
+    ks = [read_int(v[0], line_no, start + v.start()) for v in re.finditer(r"\d+", match[group])]
+    if len(ks) != s:
+        raise DslError(f"k line lists {len(ks)} exponents but the header says s={s}", line_no)
+    if any(k < 1 for k in ks):
         raise DslError("radical exponents must be positive", line_no)
-    return values
+    for k in ks:
+        if tower and not _is_prime(k):
+            raise DslError(f"radical degree {k} is not prime; factor composite "
+                           "degrees before writing a tower document", line_no)
+    return ks
 
 
 def parse(text: str):
@@ -209,181 +245,91 @@ def parse(text: str):
     if not lines:
         raise DslError("empty document")
     line_no, head = lines[0]
-    m = _HEADER_RE.match(head.strip())
-    if not m:
-        raise DslError(
-            "expected a header like 'polyformula n=2 s=1'", line_no, 1
-        )
-    kind, n, s = m.group(1), int(m.group(2)), int(m.group(3))
+    if not (m := _HEADER_RE.match(head.strip())):
+        raise DslError("expected a header like 'polyformula n=2 s=1'", line_no, 1)
+    kind, n, s = m[1], _int_field(m, 2, line_no), _int_field(m, 3, line_no)
     if n < 1:
         raise DslError("degree n must be at least 1", line_no)
-    body = lines[1:]
+    tower = kind == "towerformula"
+    spec = TowerSpec(n) if tower else None  # a tower is built one p line at a time
+    defined = {}  # (line kind, index) -> its value; an assert-nonpower's line number
+    for line_no, content in lines[1:]:
+        stripped = content.strip()
+        if not (m := _LINE_RE.match(stripped)):
+            raise DslError(f"unrecognized line {stripped!r}", line_no)
+        g = m.lastindex  # the expression's group, 2 * (the kind's row + 1)
+        line, _, kinds, refusal, noun = _LINE_KINDS[g // 2 - 1]
+        if kind not in kinds:
+            raise DslError(refusal.format(kind), line_no)
+        j = _int_field(m, g - 1, line_no) if m[g - 1] and line != "k" else None
+        if line == "assert-nonpower":  # its level is checked once the tower is built
+            defined.setdefault((line, j), line_no)
+            continue
+        if tower and line == "p" and ("k", None) not in defined:
+            raise DslError("the k line must precede p definitions", line_no)
+        if line == "p" and j > s - tower:
+            raise DslError(f"tower documents define p 0..p {s - 1}; the final element is "
+                           "the target line" if tower else f"p index {j} exceeds s={s}", line_no)
+        if line == "witness" and not 1 <= j <= s:
+            raise DslError(f"witness index must be 1..{s}", line_no)
+        if tower and line == "p" and j != spec.s:
+            raise DslError(f"p levels must appear in ascending order; expected p {spec.s}",
+                           line_no)
+        if (line, j) in defined:
+            raise DslError(f"duplicate {noun.format(j)}", line_no)
+        if tower and line == "target" and spec.s != s:
+            raise DslError("all p levels must be defined before the target", line_no)
+        if line == "k":
+            defined[line, j] = _exponents(m, g - 1, line_no, s, tower)
+            continue
+        level = _level(line, j, s)
+        ctx = TowerContext(spec, level) if tower else PolyContext.of_names(
+            variable_names(kind, line, n, level), f"{line} {j}")
+        defined[line, j] = value = parse_expression(" " * m.start(g) + m[g], ctx, line_no)
+        if tower and line == "p":
+            spec.add_level(defined["k", None][j], value)
+    for line, j in _required(kind, s):
+        if (line, j) not in defined:
+            raise DslError(f"missing {_NOUNS[line].format(j)}")
+    if tower:
+        for (line, j), line_no in defined.items():
+            if line == "assert-nonpower":
+                if not 1 <= j <= s:
+                    raise DslError(f"assert-nonpower level must be 1..{s}", line_no)
+                spec.set_attestation(j, ATTESTED_ASSERTED)
+        return FormalRadicalFormula(spec, defined["target", None])
+    ks, ps = defined.get(("k", None), []), [defined["p", j] for j in range(s + 1)]
     if kind == "scheme":
-        return _parse_schemeish(n, s, body, with_witnesses=False)
-    if kind == "polyformula":
-        return _parse_schemeish(n, s, body, with_witnesses=True)
-    return _parse_tower(n, s, body)
+        return SolvabilityScheme(n, s, ks, ps)
+    return PolyRadicalFormula(n, s, ks, ps, [defined["witness", j] for j in range(1, s + 1)])
 
 
-def _parse_schemeish(n, s, body, with_witnesses):
-    kindname = "polyformula" if with_witnesses else "scheme"
-    ks = None
-    ps = {}
-    witnesses = {}
-    for line_no, content in body:
-        stripped = content.strip()
-        if m := _K_RE.match(stripped):
-            if ks is not None:
-                raise DslError("duplicate k line", line_no)
-            ks = _parse_k_line(m, line_no, s)
-        elif m := _P_RE.match(content.strip()):
-            j = int(m.group(1))
-            if j > s:
-                raise DslError(f"p index {j} exceeds s={s}", line_no)
-            if j in ps:
-                raise DslError(f"duplicate definition of p {j}", line_no)
-            names = _poly_names(n, j) if with_witnesses else _scheme_names(n, j)
-            ctx = _context(names, f"p {j}")
-            ps[j] = parse_expression(_expr_source(m, 2), ctx, line_no)
-        elif m := _WITNESS_RE.match(stripped):
-            if not with_witnesses:
-                raise DslError(
-                    "witness lines belong to polyformula documents", line_no
-                )
-            j = int(m.group(1))
-            if not 1 <= j <= s:
-                raise DslError(f"witness index must be 1..{s}", line_no)
-            if j in witnesses:
-                raise DslError(f"duplicate witness {j}", line_no)
-            ctx = _context(_x_names(n), f"witness {j}")
-            witnesses[j] = parse_expression(_expr_source(m, 2), ctx, line_no)
-        elif _TARGET_RE.match(stripped):
-            raise DslError(
-                f"target lines belong to towerformula documents, not {kindname}",
-                line_no,
-            )
-        elif _ATTEST_RE.match(stripped):
-            raise DslError(
-                "assert-nonpower applies to towerformula documents", line_no
-            )
-        else:
-            raise DslError(f"unrecognized line {stripped!r}", line_no)
-    if s > 0 and ks is None:
-        raise DslError("missing k line")
-    missing = [j for j in range(s + 1) if j not in ps]
-    if missing:
-        raise DslError(f"missing definition of p {missing[0]}")
-    plist = [ps[j] for j in range(s + 1)]
-    if with_witnesses:
-        missing_w = [j for j in range(1, s + 1) if j not in witnesses]
-        if missing_w:
-            raise DslError(f"missing witness {missing_w[0]}")
-        return PolyRadicalFormula(
-            n, s, ks or [], plist, [witnesses[j] for j in range(1, s + 1)]
-        )
-    return SolvabilityScheme(n, s, ks or [], plist)
-
-
-def _parse_tower(n, s, body):
-    spec = TowerSpec(n)
-    ks = None
-    target = None
-    attest_lines = []
-    next_p = 0
-    for line_no, content in body:
-        stripped = content.strip()
-        if m := _K_RE.match(stripped):
-            if ks is not None:
-                raise DslError("duplicate k line", line_no)
-            ks = _parse_k_line(m, line_no, s)
-            for v in ks:
-                if not _is_prime(v):
-                    raise DslError(
-                        f"radical degree {v} is not prime; factor composite "
-                        "degrees before writing a tower document",
-                        line_no,
-                    )
-        elif m := _P_RE.match(stripped):
-            j = int(m.group(1))
-            if ks is None:
-                raise DslError("the k line must precede p definitions", line_no)
-            if j >= s:
-                raise DslError(
-                    f"tower documents define p 0..p {s - 1}; the final element "
-                    "is the target line",
-                    line_no,
-                )
-            if j != next_p:
-                raise DslError(
-                    f"p levels must appear in ascending order; expected p {next_p}",
-                    line_no,
-                )
-            ctx = TowerContext(spec, max_level=j)
-            elem = parse_expression(_expr_source(m, 2), ctx, line_no)
-            spec.add_level(ks[j], elem)
-            next_p += 1
-        elif m := _TARGET_RE.match(stripped):
-            if target is not None:
-                raise DslError("duplicate target line", line_no)
-            if next_p != s:
-                raise DslError(
-                    "all p levels must be defined before the target", line_no
-                )
-            ctx = TowerContext(spec, max_level=s)
-            target = parse_expression(_expr_source(m, 1), ctx, line_no)
-        elif m := _ATTEST_RE.match(stripped):
-            attest_lines.append((line_no, int(m.group(1))))
-        elif _WITNESS_RE.match(stripped):
-            raise DslError("witness lines belong to polyformula documents", line_no)
-        else:
-            raise DslError(f"unrecognized line {stripped!r}", line_no)
-    if s > 0 and ks is None:
-        raise DslError("missing k line")
-    if next_p != s:
-        raise DslError(f"missing definition of p {next_p}")
-    if target is None:
-        raise DslError("missing target line")
-    for line_no, j in attest_lines:
-        if not 1 <= j <= s:
-            raise DslError(f"assert-nonpower level must be 1..{s}", line_no)
-        spec.set_attestation(j, ATTESTED_ASSERTED)
-    return FormalRadicalFormula(spec, target)
-
-
-# ---------------------------------------------------------------------------
-# serialization
+def _fields(obj, kind):
+    """(line kind, integer field, expression) of each body line of obj's document."""
+    tower = kind == "towerformula"
+    if obj.s:
+        yield "k", " ".join(map(str, obj.ks)), None
+    yield from (("p", j, p) for j, p in enumerate(obj.spec.ps if tower else obj.ps))
+    yield from (("witness", j, w) for j, w in enumerate(getattr(obj, "witnesses", ()), 1))
+    if tower:
+        yield "target", None, obj.target
+        yield from (("assert-nonpower", j, None)
+                    for j, a in enumerate(obj.spec.attestations, 1) if a != ATTESTED_UNKNOWN)
 
 
 def serialize(obj) -> str:
-    if isinstance(obj, SolvabilityScheme):
-        lines = [f"scheme n={obj.n} s={obj.s}"]
-        if obj.s:
-            lines.append("k " + " ".join(str(k) for k in obj.ks))
-        for j, p in enumerate(obj.ps):
-            lines.append(f"p {j} = " + p.render(_scheme_names(obj.n, j)))
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, PolyRadicalFormula):
-        lines = [f"polyformula n={obj.n} s={obj.s}"]
-        if obj.s:
-            lines.append("k " + " ".join(str(k) for k in obj.ks))
-        for j, p in enumerate(obj.ps):
-            lines.append(f"p {j} = " + p.render(_poly_names(obj.n, j)))
-        for j, w in enumerate(obj.witnesses, start=1):
-            lines.append(f"witness {j} = " + w.render(_x_names(obj.n)))
-        return "\n".join(lines) + "\n"
-    if isinstance(obj, FormalRadicalFormula):
-        names = [f"s{i}" for i in range(1, obj.n + 1)]
-        lines = [f"towerformula n={obj.n} s={obj.s}"]
-        if obj.s:
-            lines.append("k " + " ".join(str(k) for k in obj.ks))
-        for j in range(obj.s):
-            lines.append(f"p {j} = " + obj.spec.ps[j].render(names))
-        lines.append("target = " + obj.target.render(names))
-        for j, att in enumerate(obj.spec.attestations, start=1):
-            if att != ATTESTED_UNKNOWN:
-                lines.append(f"assert-nonpower {j}")
-        return "\n".join(lines) + "\n"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """The document text of a formula form, in the grammar that parse reads."""
+    kind = next((kind for kind, form in _KINDS.items() if type(obj) is form), None)
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    lines = [f"{kind} n={obj.n} s={obj.s}"]
+    for line, field, value in _fields(obj, kind):
+        text = line if field is None else f"{line} {field}"
+        if value is not None:
+            names = variable_names(kind, line, obj.n, _level(line, field, obj.s))
+            text += " = " + value.render(names)
+        lines.append(text)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +485,10 @@ def factor_radicals(obj):
     """
     if isinstance(obj, FormalRadicalFormula):
         return obj
-    if isinstance(obj, SolvabilityScheme):
-        n, s, ks, ps, witnesses = obj.n, obj.s, list(obj.ks), list(obj.ps), None
-    elif isinstance(obj, PolyRadicalFormula):
-        n, s, ks, ps, witnesses = (
-            obj.n,
-            obj.s,
-            list(obj.ks),
-            list(obj.ps),
-            list(obj.witnesses),
-        )
-    else:
+    if not isinstance(obj, (SolvabilityScheme, PolyRadicalFormula)):
         raise TypeError(f"cannot normalize {type(obj).__name__}")
+    n, s, ks, ps = obj.n, obj.s, list(obj.ks), list(obj.ps)
+    witnesses = list(obj.witnesses) if isinstance(obj, PolyRadicalFormula) else None
     if any(k == 0 for k in ks):
         raise ValueError("radical exponent 0 cannot be factored")
     while any(k == 1 for k in ks):

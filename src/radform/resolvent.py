@@ -45,6 +45,7 @@ from radform.tower import (
     WitnessReport,
     expand_with_witnesses,
     witness_check,
+    witness_ratfunc,
 )
 
 __all__ = [
@@ -196,8 +197,7 @@ def resolvent_average(
             raise ValueError(
                 f"the average fails to telescope at z^{m}; q is malformed"
             )
-    w = witnesses[data.level - 1]
-    w_rf = RatFunc(w) if isinstance(w, MPoly) else w
+    w_rf = witness_ratfunc(witnesses[data.level - 1])
     u_x = expand_with_witnesses(data.u, witnesses)
     z_x = u_x * w_rf ** data.l
     eps = root_of_unity(k, k)
@@ -356,9 +356,7 @@ def abel_polynomialize(formula: FormalRadicalFormula, witnesses) -> AbelReport:
         else:
             target = data.q_poly
         u_x = expand_with_witnesses(data.u, wits)
-        w_rf = (
-            RatFunc(wits[j - 1]) if isinstance(wits[j - 1], MPoly) else wits[j - 1]
-        )
+        w_rf = witness_ratfunc(wits[j - 1])
         wits[j - 1] = _as_witness(u_x * w_rf ** data.l)
         spec = prime
         step_report = witness_check(spec, wits, target=target)

@@ -58,6 +58,7 @@ __all__ = [
     "expand_with_witnesses",
     "nonpower_check",
     "witness_check",
+    "witness_ratfunc",
     "ATTESTED_VERIFIED",
     "ATTESTED_ASSERTED",
     "ATTESTED_UNKNOWN",
@@ -656,6 +657,11 @@ def check_annihilation(spec: TowerSpec, level: int, q_coeffs) -> AnnihilationRep
 # witness expansion
 
 
+def witness_ratfunc(w) -> RatFunc:
+    """A witness, given as an MPoly or a RatFunc in x_1..x_n, as a RatFunc."""
+    return RatFunc(w) if isinstance(w, MPoly) else w
+
+
 def expand_with_witnesses(e: TowerElem, witnesses) -> RatFunc:
     """Interpret a tower element as a rational function of x_1..x_n by
     sending sigma_i to the elementary symmetric polynomial and y_j to the
@@ -670,8 +676,7 @@ def expand_with_witnesses(e: TowerElem, witnesses) -> RatFunc:
                 "denominator vanishes identically under the witness substitution"
             )
         return RatFunc(num, den)
-    w = witnesses[e.level - 1]
-    wrf = RatFunc(w) if isinstance(w, MPoly) else w
+    wrf = witness_ratfunc(witnesses[e.level - 1])
     total = RatFunc.zero(n)
     power = RatFunc.one(n)
     for m, c in enumerate(e.payload):
@@ -736,8 +741,7 @@ def witness_check(
     n = spec.n
     records = []
     for j in range(1, spec.s + 1):
-        w = witnesses[j - 1]
-        wrf = RatFunc(w) if isinstance(w, MPoly) else w
+        wrf = witness_ratfunc(witnesses[j - 1])
         k = spec.ks[j - 1]
         lhs = wrf ** k
         rhs = expand_with_witnesses(spec.ps[j - 1], witnesses)

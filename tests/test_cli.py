@@ -314,6 +314,9 @@ def huge_order_document(tmp_path):
     return path
 
 
+ONES = "1" * 4301
+
+
 class TestBoundedInputs:
     """Inputs that once hung: each ends within seconds, with exit 0, 1 or 2
     and at most one line on stderr."""
@@ -350,6 +353,27 @@ class TestBoundedInputs:
         status, out, err = run_bounded(command, path)
         assert (status, out) == (code, "")
         assert err == f"root-of-unity order 1001 exceeds the cap 100{where}\n"
+
+    @pytest.mark.parametrize("argv, where", [
+        (["symmetrize", "x1+x2+" + ONES], " (line 1, column 7)"),
+        (["symmetrize", f"x{ONES} + x1"], " (line 1, column 2)"),
+        (["symmetrize", f"x1^{ONES} + x2"], " (line 1, column 4)"),
+        (["symmetrize", f"x1*w({ONES}) + x2"], " (line 1, column 6)"),
+        (["character", "x1", "2", f"(1 2 {ONES})"], ""),
+        (["verify", ("n=2", f"n={ONES}")], " (line 1, column 15)"),
+        (["verify", ("k 2", f"k {ONES}")], " (line 2, column 3)"),
+        (["verify", ("4*s2", f"{ONES}*s2")], " (line 3, column 14)"),
+    ], ids=["literal", "name-index", "exponent", "root-order", "cycle-entry",
+            "header-n", "k-value", "p-literal"])
+    def test_oversized_integer(self, argv, where, tmp_path):
+        # one digit past Python's default int string-conversion limit
+        if isinstance(argv[-1], tuple):
+            path = tmp_path / "oversized.poly"
+            path.write_text((FIXTURES / "degree2.poly").read_text().replace(*argv[-1]))
+            argv = [argv[0], path]
+        status, out, err = run_bounded(*argv)
+        assert (status, out) == (2, "")
+        assert err == f"integer of 4301 digits exceeds the limit of 4300 digits{where}\n"
 
     @pytest.mark.parametrize("command", ["verify", "obstruct"])
     def test_huge_order_in_a_document(self, command, tmp_path):
