@@ -12,16 +12,11 @@ Three forms of the same idea, in increasing concreteness:
     polynomial witness in x_1..x_n, and all defining equalities become
     exact polynomial identities that verify_poly_formula checks.
 
-Each form has a document kind, `scheme`, `towerformula` and
-`polyformula`: a header `<kind> n=<n> s=<s>`, then lines of the kinds
-that _LINE_KINDS lists, in any order except that a tower is built level
-by level (k, then p 0..p s-1, then target): a `k` line with the radical
-exponents, `p <j> = <expr>` definitions, and `witness <j> = <expr>`
-(polyformula) or `target = <expr>` and `assert-nonpower <j>`
-(towerformula).  One loop parses all three kinds and serialize writes
-them from the same tables.  `#` starts a comment.  Every integer is read
-by dsl.read_int, so one longer than Python's integer string-conversion
-limit (4,300 digits by default) is a DslError with its position.
+Each form is written as a document of its kind (`scheme`, `towerformula`,
+`polyformula`): a header `<kind> n=<n> s=<s>`, then the lines that
+_LINE_KINDS lists (k, p, witness, target, assert-nonpower), read by one
+loop and written by one serializer.  `#` starts a comment, and an integer
+past Python's string-conversion limit is a DslError at its position.
 """
 
 from __future__ import annotations
@@ -205,10 +200,13 @@ def _level(line, j, s):
 
 def _required(kind, s):
     """(line kind, index) of each line a document must hold, in checking order."""
-    tower = kind == "towerformula"
-    return ([("k", None)] if s else []) + [("p", j) for j in range(s + 1 - tower)] + (
-        [("target", None)] if tower else
-        [("witness", j) for j in range(1, s + 1)] if kind == "polyformula" else [])
+    required = [("k", None)] if s else []
+    if kind == "towerformula":
+        return required + [("p", j) for j in range(s)] + [("target", None)]
+    required += [("p", j) for j in range(s + 1)]
+    if kind == "polyformula":
+        required += [("witness", j) for j in range(1, s + 1)]
+    return required
 
 
 def _document_lines(text):
