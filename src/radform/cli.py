@@ -276,12 +276,10 @@ def main(argv=None) -> int:
     )
     try:
         return _COMMANDS[args.command](config, args)
-    except DslError as err:
+    except (DslError, OSError) as err:
         return _fail(str(err), 2)
     except (ExponentOverflowError, OrderCapError) as err:
         return _fail(str(err), 1)
-    except OSError as err:
-        return _fail(str(err), 2)
 
 
 if __name__ == "__main__":

@@ -93,9 +93,14 @@ def read_int(digits: str, line: int | None = None, col: int | None = None) -> in
 
 def max_name_index(text: str, letter: str) -> int:
     """Largest N such that `letterN` occurs as a name in the text; 0 if none."""
-    n = len(letter)
-    return max((read_int(v[n:], 1, col + n) for v, col in zip(_lex(text, 1), _columns(text))
-                if v[:n] == letter and v[n:].isdigit()), default=0)
+    n, best = len(letter), 0
+    for pos, v in enumerate(_lex(text, 1)):
+        if v[:n] == letter and v[n:].isdigit():
+            try:
+                best = max(best, read_int(v[n:]))
+            except DslError as err:  # columns are computed only for an error
+                raise DslError(str(err), 1, _columns(text)[pos] + n) from None
+    return best
 
 
 # ---------------------------------------------------------------------------

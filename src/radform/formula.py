@@ -199,21 +199,23 @@ def _level(line, j, s):
 
 
 def _required(kind, s):
-    """(line kind, index) of each line a document must hold, in checking order."""
-    required = [("k", None)] if s else []
-    if kind == "towerformula":
-        return required + [("p", j) for j in range(s)] + [("target", None)]
-    required += [("p", j) for j in range(s + 1)]
+    """(line kind, index) of each line a document must hold, in checking
+    order, yielded lazily: a missing k line is found before anything that
+    grows with s, which only the k line's length bounds."""
+    if s:
+        yield "k", None
+    yield from (("p", j) for j in range(s + (kind != "towerformula")))
     if kind == "polyformula":
-        required += [("witness", j) for j in range(1, s + 1)]
-    return required
+        yield from (("witness", j) for j in range(1, s + 1))
+    if kind == "towerformula":
+        yield "target", None
 
 
 def _document_lines(text):
     lines = []
     for idx, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].rstrip()
-        if content.strip():
+        content = raw.split("#", 1)[0].strip()
+        if content:
             lines.append((idx, content))
     return lines
 
@@ -243,7 +245,7 @@ def parse(text: str):
     if not lines:
         raise DslError("empty document")
     line_no, head = lines[0]
-    if not (m := _HEADER_RE.match(head.strip())):
+    if not (m := _HEADER_RE.match(head)):
         raise DslError("expected a header like 'polyformula n=2 s=1'", line_no, 1)
     kind, n, s = m[1], _int_field(m, 2, line_no), _int_field(m, 3, line_no)
     if n < 1:
@@ -252,9 +254,8 @@ def parse(text: str):
     spec = TowerSpec(n) if tower else None  # a tower is built one p line at a time
     defined = {}  # (line kind, index) -> its value; an assert-nonpower's line number
     for line_no, content in lines[1:]:
-        stripped = content.strip()
-        if not (m := _LINE_RE.match(stripped)):
-            raise DslError(f"unrecognized line {stripped!r}", line_no)
+        if not (m := _LINE_RE.match(content)):
+            raise DslError(f"unrecognized line {content!r}", line_no)
         g = m.lastindex  # the expression's group, 2 * (the kind's row + 1)
         line, _, kinds, refusal, noun = _LINE_KINDS[g // 2 - 1]
         if kind not in kinds:
@@ -263,20 +264,23 @@ def parse(text: str):
         if line == "assert-nonpower":  # its level is checked once the tower is built
             defined.setdefault((line, j), line_no)
             continue
-        if tower and line == "p" and ("k", None) not in defined:
-            raise DslError("the k line must precede p definitions", line_no)
-        if line == "p" and j > s - tower:
-            raise DslError(f"tower documents define p 0..p {s - 1}; the final element is "
-                           "the target line" if tower else f"p index {j} exceeds s={s}", line_no)
-        if line == "witness" and not 1 <= j <= s:
+        if tower:  # a tower is built in order: the k line, p 0..s-1, the target
+            if line == "p" and ("k", None) not in defined:
+                raise DslError("the k line must precede p definitions", line_no)
+            if line == "p" and j >= s:
+                raise DslError(f"tower documents define p 0..p {s - 1}; the final element "
+                               "is the target line", line_no)
+            if line == "p" and j != spec.s:
+                raise DslError(f"p levels must appear in ascending order; expected p {spec.s}",
+                               line_no)
+            if line == "target" and spec.s != s:
+                raise DslError("all p levels must be defined before the target", line_no)
+        elif line == "p" and j > s:
+            raise DslError(f"p index {j} exceeds s={s}", line_no)
+        elif line == "witness" and not 1 <= j <= s:
             raise DslError(f"witness index must be 1..{s}", line_no)
-        if tower and line == "p" and j != spec.s:
-            raise DslError(f"p levels must appear in ascending order; expected p {spec.s}",
-                           line_no)
         if (line, j) in defined:
             raise DslError(f"duplicate {noun.format(j)}", line_no)
-        if tower and line == "target" and spec.s != s:
-            raise DslError("all p levels must be defined before the target", line_no)
         if line == "k":
             defined[line, j] = _exponents(m, g - 1, line_no, s, tower)
             continue
@@ -431,11 +435,9 @@ def _drop_unit_level(n, s, ks, ps, witnesses):
         for i in range(j + 1, m + 1):
             images[n + i] = MPoly.variable(arity, n + i - 1)
         new_ps.append(substitute(ps[m], images, out_nvars=arity))
-    new_ks = ks[: j - 1] + ks[j:]
-    new_witnesses = None
     if witnesses is not None:
-        new_witnesses = witnesses[: j - 1] + witnesses[j:]
-    return n, s - 1, new_ks, new_ps, new_witnesses
+        witnesses = witnesses[: j - 1] + witnesses[j:]
+    return n, s - 1, ks[: j - 1] + ks[j:], new_ps, witnesses
 
 
 def _expand_composite(n, s, ks, ps, witnesses):
@@ -525,10 +527,8 @@ def to_poly_formula(formula: FormalRadicalFormula, witnesses) -> PolyRadicalForm
     does not reduce to a polynomial.
     """
     n, s = formula.n, formula.s
-    ps = [
-        _flatten_elem(formula.spec.ps[j], n, n + j) for j in range(s)
-    ]
-    ps.append(_flatten_elem(formula.target, n, n + s))
+    # the target is the last defining polynomial, over all s radicals
+    ps = [_flatten_elem(e, n, n + j) for j, e in enumerate([*formula.spec.ps, formula.target])]
     wits = []
     for j, w in enumerate(witnesses, start=1):
         if isinstance(w, RatFunc):

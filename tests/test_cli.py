@@ -375,6 +375,14 @@ class TestBoundedInputs:
         assert (status, out) == (2, "")
         assert err == f"integer of 4301 digits exceeds the limit of 4300 digits{where}\n"
 
+    @pytest.mark.parametrize("kind", ["scheme", "polyformula", "towerformula"])
+    def test_missing_k_line_under_a_huge_s(self, kind, tmp_path):
+        # only the k line's length bounds s, so its absence is reported
+        # before any work that grows with s
+        path = tmp_path / "huge_s.doc"
+        path.write_text(f"{kind} n=2 s={10**12}\n")
+        assert run_bounded("verify", path) == (2, "", "missing k line\n")
+
     @pytest.mark.parametrize("command", ["verify", "obstruct"])
     def test_huge_order_in_a_document(self, command, tmp_path):
         code, out, err = run_bounded(command, huge_order_document(tmp_path))

@@ -19,6 +19,7 @@ Frozen oracles used below, computed by hand before these tests were run:
 import hashlib
 import pathlib
 import random
+import re
 from fractions import Fraction
 from math import prod
 
@@ -256,6 +257,12 @@ def test_bad_document_refusal_is_pinned(text, message, line, col):
     assert (str(err.value), err.value.line, err.value.col) == (
         str(DslError(message, line, col)), line, col
     )
+
+
+def test_every_line_kind_has_two_groups():
+    # parse finds a matched row from the index of its last group, 2 * (row + 1)
+    assert [re.compile(fields).groups for _, fields, *_ in formula_module._LINE_KINDS] == [
+        2] * len(formula_module._LINE_KINDS)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

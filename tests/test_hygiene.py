@@ -40,7 +40,7 @@ def referenced_names(tree):
     """Every name a module loads, reads as an attribute, or imports."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -69,7 +69,8 @@ def private_definitions(tree):
 @pytest.mark.parametrize("module", list(TREES))
 def test_every_import_is_used(module):
     tree = TREES[module]
-    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     used = loaded | exported_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
