@@ -24,6 +24,7 @@ from radform.dsl import (
     read_int,
 )
 from radform.formula import (
+    _NAMES,
     FormalRadicalFormula,
     PolyRadicalFormula,
     SolvabilityScheme,
@@ -31,10 +32,9 @@ from radform.formula import (
     parse,
     serialize,
     to_poly_formula,
-    variable_names,
     verify_poly_formula,
 )
-from radform.multipoly import ExponentOverflowError, symmetrize
+from radform.multipoly import symmetrize
 from radform.obstruction import run_ruffini
 from radform.permchar import Perm, character_of
 from radform.resolvent import abel_polynomialize, derive_witnesses
@@ -70,7 +70,7 @@ def _inline_polynomial(config: CliConfig, expr: str, n: int):
     """(f, None): expr as a polynomial in the witness-line variables x1..xn;
     or (None, why) when its syntactic degree bound exceeds the cap, which
     is checked before anything is expanded."""
-    ctx = PolyContext.of_names(variable_names("polyformula", "witness", n), where="f")
+    ctx = PolyContext(n, _NAMES["polyformula", "witness"], 0, "f")
     bound = degree_bound(expr, ctx)
     if bound > config.max_degree:
         return None, (f"degree bound {bound} exceeds the cap {config.max_degree} "
@@ -181,7 +181,7 @@ def cmd_symmetrize(config: CliConfig, expr: str) -> int:
         result = symmetrize(f)
     except ValueError as err:
         return _fail(str(err), 1)
-    _emit(config, result.poly.render(variable_names("polyformula", "p", n)))
+    _emit(config, str(result))
     return 0
 
 
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](config, args)
     except (DslError, OSError) as err:
         return _fail(str(err), 2)
-    except (ExponentOverflowError, OrderCapError) as err:
+    except (OverflowError, OrderCapError) as err:
         return _fail(str(err), 1)
 
 

@@ -381,10 +381,16 @@ class CycScalar(Field):
         return f"CycScalar({self.order}, {[str(c) for c in self.coeffs]})"
 
     def __str__(self):
-        return join_terms([
-            term_text(str(c), f"w({self.order})" + (f"^{j}" if j > 1 else "") if j else "")
-            for j, c in enumerate(self.coeffs) if c
-        ])
+        try:
+            return join_terms([
+                term_text(str(c), f"w({self.order})" + (f"^{j}" if j > 1 else "") if j else "")
+                for j, c in enumerate(self.coeffs) if c
+            ])
+        except ValueError:  # a part past the interpreter's int-to-str limit, left as it is
+            big = max(max(abs(c.numerator), c.denominator) for c in self.coeffs)
+            d = int(math.log10(big)) + 1  # log10 may round across a power of ten
+            d += (big >= 10 ** d) - (big < 10 ** (d - 1))
+            raise OverflowError(f"coefficient of {d} digits is too long to print") from None
 
 
 def root_of_unity(q: int, order: int) -> CycScalar:

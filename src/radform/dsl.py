@@ -2,13 +2,14 @@
 
 Expressions are sums, differences, products, powers and (restricted)
 quotients of named variables, nonnegative integers, the imaginary unit
-``i`` and root-of-unity constants ``w(q)``.  What a name means, and what
-a ``/`` is allowed to divide by, depends on the evaluation context:
+``i`` and root-of-unity constants ``w(q)``.  A name is resolved by its
+line's rule to a variable index; what the index means, and what a ``/``
+is allowed to divide by, depends on the evaluation context:
 
-  * PolyContext maps names to polynomial variables and only divides by
+  * PolyContext reads index i as the variable x_i and only divides by
     nonzero scalar constants;
-  * TowerContext maps ``s<i>`` to ground-field generators and ``y<j>`` to
-    tower radicals, and divides by radical-free (level-0) values only.
+  * TowerContext reads a ground index as a sigma-variable and a radical's
+    as a tower generator, and divides by radical-free (level-0) values.
 
 A product of variables, integers, their powers and divisions by nonzero
 constants is one monomial (c, key, d), c/d times a packed key of
@@ -27,7 +28,7 @@ import re
 import sys
 
 from radform.cyclotomic import FIELD_BITS, OrderCapError, root_of_unity
-from radform.multipoly import MPoly, _make
+from radform.multipoly import MPoly, _make, _variable_key
 from radform.tower import RatFunc, TowerElem, TowerSpec
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "parse_expression",
     "read_int",
     "tokenize",
+    "variable_names",
 ]
 
 
@@ -103,44 +105,59 @@ def max_name_index(text: str, letter: str) -> int:
     return best
 
 
+def variable_names(n: int, rule: tuple, level: int) -> list[str]:
+    """The names that a line's rule gives its n + level variables, in order."""
+    ground, first, radical = rule
+    return [f"{ground}{t}" for t in range(first, first + n)] + [
+        f"{radical}{j}" for j in range(1, level + 1)]
+
+
 # ---------------------------------------------------------------------------
 # evaluation contexts; they raise DslErrors that the parser positions
 
 
 class _Context:
-    """A monomial product or power whose key reaches `cap` is left to the
-    operators, which raise ExponentOverflowError where a field overflows."""
+    """Names by a line's rule (ground, first, radical): ground<first>.. are
+    indices 1..n and radical1..radical<level> n+1..n+level, with no leading
+    zeros.  A monomial product or power whose key is longer than key_bits
+    is left to the operators, which raise ExponentOverflowError."""
 
-    def __init__(self, nvars: int):
-        self.cap = 1 << FIELD_BITS * (nvars + 2)
+    def __init__(self, n: int, rule: tuple, level: int, nvars: int):
+        self.n, self.rule, self.level = n, rule, level
+        self.key_bits = FIELD_BITS * (nvars + 2)
 
     def integer(self, value: int):
         return value, 0, 1
 
+    def index(self, name: str) -> int:
+        """The index of a name by the rule, or an unknown-variable DslError."""
+        ground, first, radical = self.rule
+        digits = name[1:]
+        if digits.isdigit() and (digits[0] != "0" or len(digits) == 1):
+            i = read_int(digits)
+            if name[0] == ground and first <= i < first + self.n:
+                return i - first + 1
+            if name[0] == radical and 1 <= i <= self.level:
+                return self.n + i
+        raise DslError(f"unknown variable {name!r}{self.expected()}")
+
 
 class PolyContext(_Context):
-    """Evaluate into MPoly with a fixed name -> variable-index table."""
+    """Evaluate into MPoly in the n + level variables of a line's rule."""
 
-    def __init__(self, nvars: int, var_map: dict[str, int], where: str = ""):
-        super().__init__(nvars)
-        self.nvars, self.var_map, self.where = nvars, var_map, where
+    def __init__(self, n: int, rule: tuple, level: int, where: str = ""):
+        super().__init__(n, rule, level, n + level)
+        self.nvars, self.where = n + level, where
 
-    @classmethod
-    def of_names(cls, names: list[str], where: str = "") -> "PolyContext":
-        """The context whose variables are names, numbered from 1."""
-        return cls(len(names), {v: i for i, v in enumerate(names, 1)}, where)
+    def expected(self) -> str:
+        known = ", ".join(sorted(variable_names(self.n, self.rule, self.level)))
+        return (f" in {self.where}" if self.where else "") + f" (expected one of: {known})"
 
     def unity_root(self, q: int):
         return MPoly.constant(self.nvars, root_of_unity(q, q))
 
     def variable(self, name: str):
-        index = self.var_map.get(name)
-        if index is None:
-            known = ", ".join(sorted(self.var_map)) or "none"
-            hint = f" in {self.where}" if self.where else ""
-            raise DslError(f"unknown variable {name!r}{hint} (expected one of: {known})")
-        (key,) = MPoly.variable(self.nvars, index)._terms
-        return 1, key, 1
+        return 1, _variable_key(self.nvars, self.index(name)), 1
 
     def build(self, terms: dict, den: int):
         if den < 0:
@@ -157,24 +174,25 @@ class PolyContext(_Context):
 
 
 class TowerContext(_Context):
-    """Evaluate into TowerElem: s<i> are ground variables, y<j> radicals."""
+    """Evaluate into TowerElem: ground names are sigmas, radicals generators."""
 
-    def __init__(self, spec: TowerSpec, max_level: int):
-        super().__init__(spec.n)
-        self.spec, self.max_level = spec, max_level
+    def __init__(self, spec: TowerSpec, rule: tuple, level: int):
+        super().__init__(spec.n, rule, level, spec.n)
+        self.spec = spec
+
+    def expected(self) -> str:
+        ground, first, radical = self.rule
+        levels = f" or {radical}1..{radical}{self.level}" if self.level else ""
+        return f" (expected {ground}{first}..{ground}{first + self.n - 1}{levels})"
 
     def unity_root(self, q: int):
         return self.spec.scalar(root_of_unity(q, q))
 
     def variable(self, name: str):
-        idx = read_int(name[1:]) if name[1:].isdigit() else 0
-        if name[0] == "s" and 1 <= idx <= self.spec.n:
-            (key,) = MPoly.variable(self.spec.n, idx)._terms
-            return 1, key, 1
-        if name[0] == "y" and 1 <= idx <= self.max_level:
-            return self.spec.generator(idx)
-        levels = f" or y1..y{self.max_level}" if self.max_level else ""
-        raise DslError(f"unknown variable {name!r} (expected s1..s{self.spec.n}{levels})")
+        i = self.index(name)
+        if i > self.n:
+            return self.spec.generator(i - self.n)
+        return 1, _variable_key(self.n, i), 1
 
     def build(self, terms: dict, den: int):
         n = self.spec.n
@@ -193,7 +211,7 @@ class _DegreeContext:
     field to overflow; a sum keeps its largest key, cancelled terms
     included, and a quotient its dividend.  Names are checked by ctx."""
 
-    cap = float("inf")
+    key_bits = float("inf")
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -204,7 +222,7 @@ class _DegreeContext:
     unity_root = integer
 
     def variable(self, name: str):
-        self.ctx.variable(name)
+        self.ctx.index(name)
         return 1, 1 << FIELD_BITS, 1
 
     def build(self, terms: dict, den: int):
@@ -299,14 +317,15 @@ class _Parser:
         return (-value[0], value[1], value[2]) if type(value) is tuple else -value
 
     def term(self):
-        lex, cap = self.lex, self.ctx.cap
+        lex, key_bits = self.lex, self.ctx.key_bits
         value = self.power()
         while (op := lex[pos := self.pos]) == "*" or op == "/":
             self.pos = pos + 1
             rhs = self.power()
             if op == "/" and type(rhs) is tuple and rhs[0] and not rhs[1]:
                 op, rhs = "*", (rhs[2], 0, rhs[0])  # times the constant's inverse
-            if op == "*" and type(value) is type(rhs) is tuple and value[1] + rhs[1] < cap:
+            if (op == "*" and type(value) is type(rhs) is tuple
+                    and (value[1] + rhs[1]).bit_length() <= key_bits):
                 value = (value[0] * rhs[0], value[1] + rhs[1], value[2] * rhs[2])
             else:
                 value = self.apply(op, value, rhs, pos)
@@ -319,7 +338,7 @@ class _Parser:
             if not lex[pos + 1].isdigit():
                 self.fail("exponent must be a nonnegative integer", pos + 1)
             self.pos, e = pos + 2, self.integer(pos + 1)
-            if type(value) is tuple and value[1] * e < self.ctx.cap:
+            if type(value) is tuple and (value[1] * e).bit_length() <= self.ctx.key_bits:
                 value = (value[0] ** e, value[1] * e, value[2] ** e)
             else:
                 value = self.apply("^", value, e, pos)

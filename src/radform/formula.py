@@ -24,7 +24,9 @@ from __future__ import annotations
 import re
 from math import prod
 
-from radform.dsl import DslError, PolyContext, TowerContext, parse_expression, read_int
+from radform.dsl import (
+    DslError, PolyContext, TowerContext, parse_expression, read_int, variable_names,
+)
 from radform.multipoly import (
     MPoly, _exps, _grouped, permute_vars, sigma_images, substitute, symmetrize,
 )
@@ -50,7 +52,6 @@ __all__ = [
     "parse",
     "serialize",
     "to_poly_formula",
-    "variable_names",
     "verify_poly_formula",
     "vieta_convert",
 ]
@@ -154,7 +155,8 @@ _KINDS = {
     "towerformula": FormalRadicalFormula,
 }
 
-# (document kind, line kind) -> the letter and first index of the n ground
+# (document kind, line kind) -> the rule by which a line names its variables
+# (dsl._Context.index): the letter and first index of the n ground
 # variables, and the letter of the radicals 1..j that a level-j line names
 _NAMES = {
     ("scheme", "p"): ("a", 0, "z"),
@@ -182,14 +184,6 @@ _LINE_KINDS = (
 _HEADER_RE = re.compile(rf"^({'|'.join(_KINDS)})\s+n\s*=\s*(\d+)\s+s\s*=\s*(\d+)\s*$")
 _LINE_RE = re.compile("|".join(f"{kw}{fields}$" for kw, fields, *_ in _LINE_KINDS))
 _NOUNS = {kw: noun for kw, *_, noun in _LINE_KINDS}
-
-
-def variable_names(kind: str, line: str, n: int, level: int = 0) -> list[str]:
-    """The variables that an expression on a `line` line of a `kind`
-    document may name at a level: n ground variables, then the radicals."""
-    ground, first, radical = _NAMES[kind, line]
-    return [f"{ground}{t}" for t in range(first, first + n)] + [
-        f"{radical}{i}" for i in range(1, level + 1)]
 
 
 def _level(line, j, s):
@@ -284,9 +278,9 @@ def parse(text: str):
         if line == "k":
             defined[line, j] = _exponents(m, g - 1, line_no, s, tower)
             continue
-        level = _level(line, j, s)
-        ctx = TowerContext(spec, level) if tower else PolyContext.of_names(
-            variable_names(kind, line, n, level), f"{line} {j}")
+        rule, level = _NAMES[kind, line], _level(line, j, s)
+        ctx = (TowerContext(spec, rule, level) if tower
+               else PolyContext(n, rule, level, f"{line} {j}"))
         defined[line, j] = value = parse_expression(" " * m.start(g) + m[g], ctx, line_no)
         if tower and line == "p":
             spec.add_level(defined["k", None][j], value)
@@ -328,7 +322,7 @@ def serialize(obj) -> str:
     for line, field, value in _fields(obj, kind):
         text = line if field is None else f"{line} {field}"
         if value is not None:
-            names = variable_names(kind, line, obj.n, _level(line, field, obj.s))
+            names = variable_names(obj.n, _NAMES[kind, line], _level(line, field, obj.s))
             text += " = " + value.render(names)
         lines.append(text)
     return "\n".join(lines) + "\n"

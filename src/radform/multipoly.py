@@ -91,6 +91,11 @@ def _shift(nvars, index):
     return FIELD_BITS * (nvars - index + 1)
 
 
+def _variable_key(nvars, index):
+    """The packed key of the monomial x_index (1-based)."""
+    return 1 << FIELD_BITS * (nvars + 1) | 1 << _shift(nvars, index)
+
+
 def _pack(exps) -> int:
     key = sum(exps)
     for i, e in enumerate(exps, start=1):
@@ -241,7 +246,7 @@ class MPoly(Ring):
         """The monomial x_index; indices are 1-based."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        return _make(nvars, 1, {(1 << FIELD_BITS * (nvars + 1)) | 1 << _shift(nvars, index): 1})
+        return _make(nvars, 1, {_variable_key(nvars, index): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps, coeff=1) -> "MPoly":

@@ -383,6 +383,17 @@ class TestBoundedInputs:
         path.write_text(f"{kind} n=2 s={10**12}\n")
         assert run_bounded("verify", path) == (2, "", "missing k line\n")
 
+    def test_missing_k_line_after_a_high_p_line(self, tmp_path):
+        # the radicals z1..z99999999 that the p line may name are resolved
+        # by rule, never listed
+        path = tmp_path / "high_p.doc"
+        path.write_text("scheme n=2 s=100000000\np 99999999 = 1\n")
+        assert run_bounded("verify", path, seconds=1) == (2, "", "missing k line\n")
+
+    def test_coefficient_past_the_digit_limit(self):
+        assert run_bounded("symmetrize", "x1+x2+10^5000") == (
+            1, "", "coefficient of 5001 digits is too long to print\n")
+
     @pytest.mark.parametrize("command", ["verify", "obstruct"])
     def test_huge_order_in_a_document(self, command, tmp_path):
         code, out, err = run_bounded(command, huge_order_document(tmp_path))

@@ -233,6 +233,15 @@ BAD_DOCUMENTS = [
     (T1 + "k 2\np 0 = s3\n", "unknown variable 's3' (expected s1..s2)", 3, 7),
     (T1 + "k 2\np 0 = s1\ntarget = y2\n",
      "unknown variable 'y2' (expected s1..s2 or y1..y1)", 4, 10),
+    (S1 + "k 2\np 0 = a00\n", "unknown variable 'a00' in p 0 (expected one of: a0, a1)", 3, 7),
+    (S1 + "k 2\np 0 = a0\np 1 = z01\n",
+     "unknown variable 'z01' in p 1 (expected one of: a0, a1, z1)", 4, 7),
+    (P1 + "k 2\np 0 = s01\n", "unknown variable 's01' in p 0 (expected one of: s1, s2)", 3, 7),
+    (P1 + "k 2\np 0 = s1\np 1 = f1\nwitness 1 = x01\n",
+     "unknown variable 'x01' in witness 1 (expected one of: x1, x2)", 5, 13),
+    (T1 + "k 2\np 0 = s01\n", "unknown variable 's01' (expected s1..s2)", 3, 7),
+    (T1 + "k 2\np 0 = s1\ntarget = y01\n",
+     "unknown variable 'y01' (expected s1..s2 or y1..y1)", 4, 10),
     (T1 + "k 2\np 0 = s1\ntarget = s1/y1\n",
      "divisors must be radical-free (no y-variables)", 4, 12),
     (S1 + "k 2\n   p 0 = a0 + $\n", "unexpected character '$'", 3, 12),
@@ -257,6 +266,16 @@ def test_bad_document_refusal_is_pinned(text, message, line, col):
     assert (str(err.value), err.value.line, err.value.col) == (
         str(DslError(message, line, col)), line, col
     )
+
+
+@pytest.mark.parametrize("text", [
+    S1 + "k 2\np 0 = a{}\n", P1 + "k 2\np 0 = s{}\n", T1 + "k 2\np 0 = s{}\n",
+], ids=["scheme", "polyformula", "towerformula"])
+def test_a_name_index_past_the_digit_limit_is_refused_as_an_integer(text):
+    with pytest.raises(DslError) as err:
+        parse(text.format("1" * 4301))
+    assert (str(err.value), err.value.line, err.value.col) == (
+        "integer of 4301 digits exceeds the limit of 4300 digits (line 3, column 7)", 3, 7)
 
 
 def test_every_line_kind_has_two_groups():

@@ -379,6 +379,32 @@ def test_character_of_matches_a_search_over_the_roots(f, q):
                 character_of(f, q, alpha)
 
 
+@st.composite
+def character_polys(draw):
+    """A layer5 polynomial, for n = 3, 4 times a power of the resolvent
+    combination, so that characters of order 3 are drawn too."""
+    f = draw(layer5_polys())
+    if f.nvars < 5:
+        resolvent = verify_hom_trivial(f.nvars, 3).counterexample.source
+        f = f * resolvent ** draw(st.integers(min_value=0, max_value=2))
+    return f
+
+
+@seed(24)
+@settings(max_examples=80, deadline=None, database=None)
+@given(character_polys(), st.sampled_from([2, 3, 6]))
+def test_character_is_multiplicative_on_generator_products(f, q):
+    # build_character records the generators' values only, so character_of
+    # must agree with their products wherever a character exists
+    generators = an_generators(f.nvars)
+    try:
+        chi = {g: character_of(f, q, g) for g in generators}
+    except ValueError:
+        return
+    for g, h in itertools.product(generators, repeat=2):
+        assert character_of(f, q, g * h, check_pre=False) == chi[g] * chi[h]
+
+
 @pytest.mark.parametrize("n", range(3, 9))
 def test_the_generator_pairs_close_to_the_whole_groups(n):
     symmetric = close_group([Perm(g) for g in _generators(n, False)], cap=math.factorial(n))

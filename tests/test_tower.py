@@ -458,7 +458,7 @@ class TestInverse:
         formula = parse(DEGREE3_TOWER.read_text())
         spec = formula.spec
         e = parse_expression(
-            "(s1 + 2*y1) + (s2 - y1)*y2 + (s3 + 1)*y2^2", TowerContext(spec, spec.s)
+            "(s1 + 2*y1) + (s2 - y1)*y2 + (s3 + 1)*y2^2", TowerContext(spec, ("s", 1, "y"), spec.s)
         )
         point = (2, 5, 11)
         sigmas = [evaluate(sigma_images(3)[i], point) for i in (1, 2, 3)]
@@ -481,7 +481,7 @@ class TestInverse:
         text = DEGREE3_TOWER.read_text().replace("assert-nonpower 1\n", "")
         spec = parse(text).spec
         assert spec.attestations[0] == ATTESTED_UNKNOWN
-        e = parse_expression("y1 + y2", TowerContext(spec, spec.s))
+        e = parse_expression("y1 + y2", TowerContext(spec, ("s", 1, "y"), spec.s))
         with pytest.raises(
             AttestationError, match="level 1 has no nonpower attestation"
         ):
