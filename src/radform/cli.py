@@ -43,19 +43,9 @@ from radform.tower import ATTESTED_UNKNOWN, AttestationError, nonpower_check, wi
 DEFAULT_MAX_DEGREE = 24
 
 
-class CliConfig:
-    def __init__(self, command: str, inputs: list | None = None, output: str | None = None,
-                 max_degree: int = DEFAULT_MAX_DEGREE, verbose: bool = False):
-        self.command = command
-        self.inputs = [] if inputs is None else inputs
-        self.output = output
-        self.max_degree = max_degree
-        self.verbose = verbose
-
-
-def _emit(config: CliConfig, text: str):
-    if config.output:
-        with open(config.output, "w") as handle:
+def _emit(args: argparse.Namespace, text: str):
+    if args.output:
+        with open(args.output, "w") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
@@ -66,16 +56,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _inline_polynomial(config: CliConfig, expr: str, n: int):
-    """(f, None): expr as a polynomial in the witness-line variables x1..xn;
-    or (None, why) when its syntactic degree bound exceeds the cap, which
-    is checked before anything is expanded."""
+def _inline_polynomial(args: argparse.Namespace, n: int):
+    """(f, None): args.expr as a polynomial in the witness-line variables
+    x1..xn; or (None, why) when its syntactic degree bound exceeds the cap,
+    which is checked before anything is expanded."""
     ctx = PolyContext(n, _NAMES["polyformula", "witness"], 0, "f")
-    bound = degree_bound(expr, ctx)
-    if bound > config.max_degree:
-        return None, (f"degree bound {bound} exceeds the cap {config.max_degree} "
+    bound = degree_bound(args.expr, ctx)
+    if bound > args.max_degree:
+        return None, (f"degree bound {bound} exceeds the cap {args.max_degree} "
                       "(raise it with --max-degree)")
-    return parse_expression(expr, ctx), None
+    return parse_expression(args.expr, ctx), None
 
 
 def _read_document(path: str):
@@ -93,11 +83,11 @@ def _refuted_level1(document: FormalRadicalFormula) -> str | None:
             return f"level 1: nonpower attestation refuted: p_0 = ({root})^{result.k}"
 
 
-def cmd_verify(config: CliConfig) -> int:
-    document = _read_document(config.inputs[0])
+def cmd_verify(args: argparse.Namespace) -> int:
+    document = _read_document(args.input)
     if isinstance(document, SolvabilityScheme):
         _emit(
-            config,
+            args,
             f"scheme n={document.n} s={document.s}: shape accepted; "
             "no witnesses to check at this level",
         )
@@ -112,22 +102,22 @@ def cmd_verify(config: CliConfig) -> int:
         except ValueError as err:
             return _fail(f"witness derivation failed: {err}", 1)
         report = witness_check(document.spec, witnesses, target=document.target)
-        if config.verbose:
+        if args.verbose:
             for note in notes:
                 print(note, file=sys.stderr)
-    _emit(config, "\n".join(report.lines()))
+    _emit(args, "\n".join(report.lines()))
     return 0 if report.all_pass else 1
 
 
-def cmd_obstruct(config: CliConfig) -> int:
-    document = _read_document(config.inputs[0])
+def cmd_obstruct(args: argparse.Namespace) -> int:
+    document = _read_document(args.input)
     if not isinstance(document, PolyRadicalFormula):
         return _fail("obstruct needs a polyformula document with witnesses", 2)
     try:
         report = run_ruffini(document)
     except ValueError as err:
         return _fail(str(err), 1)
-    _emit(config, "\n".join(report.lines()))
+    _emit(args, "\n".join(report.lines()))
     return 0
 
 
@@ -143,16 +133,17 @@ def _unit_power(value, q: int) -> str:
     raise AssertionError("character value is not a q-th root of unity")
 
 
-def cmd_character(config: CliConfig, expr: str, q: int, perms) -> int:
+def cmd_character(args: argparse.Namespace) -> int:
+    q, perms = args.q, args.perms
     if q < 1:
         return _fail(f"q must be a positive integer, got {q}", 2)
     if q > ORDER_CAP:
         return _fail(f"q = {q} exceeds the root-of-unity order cap {ORDER_CAP}", 2)
-    n = max(max_name_index(expr, "x"), 1)
+    n = max(max_name_index(args.expr, "x"), 1)
     for text in perms:
         for digits in re.findall(r"\d+", text):
             n = max(n, read_int(digits))
-    f, refusal = _inline_polynomial(config, expr, n)
+    f, refusal = _inline_polynomial(args, n)
     if refusal:
         return _fail(refusal, 1)
     lines = []
@@ -166,27 +157,27 @@ def cmd_character(config: CliConfig, expr: str, q: int, perms) -> int:
         except ValueError as err:
             return _fail(f"character undefined for {text.strip()}: {err}", 1)
         lines.append(f"chi({text.strip()}) = {_unit_power(value, q)}")
-    _emit(config, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_symmetrize(config: CliConfig, expr: str) -> int:
-    n = max_name_index(expr, "x")
+def cmd_symmetrize(args: argparse.Namespace) -> int:
+    n = max_name_index(args.expr, "x")
     if n == 0:
         return _fail("expression mentions no x-variables", 2)
-    f, refusal = _inline_polynomial(config, expr, n)
+    f, refusal = _inline_polynomial(args, n)
     if refusal:
         return _fail(refusal, 1)
     try:
         result = symmetrize(f)
     except ValueError as err:
         return _fail(str(err), 1)
-    _emit(config, str(result))
+    _emit(args, str(result))
     return 0
 
 
-def cmd_abelize(config: CliConfig) -> int:
-    document = _read_document(config.inputs[0])
+def cmd_abelize(args: argparse.Namespace) -> int:
+    document = _read_document(args.input)
     if not isinstance(document, FormalRadicalFormula):
         return _fail("abelize needs a towerformula document", 2)
     if refutation := _refuted_level1(document):
@@ -200,16 +191,16 @@ def cmd_abelize(config: CliConfig) -> int:
     out = [serialize(converted).rstrip("\n"), ""]
     out.extend(f"# {note}" for note in notes)
     out.extend(f"# {line}" for line in report.lines())
-    _emit(config, "\n".join(out))
+    _emit(args, "\n".join(out))
     return 0
 
 
-def cmd_builtin(config: CliConfig, name: str) -> int:
+def cmd_builtin(args: argparse.Namespace) -> int:
     try:
-        document = builtin(name)
+        document = builtin(args.name)
     except ValueError as err:
         return _fail(str(err), 2)
-    _emit(config, serialize(document))
+    _emit(args, serialize(document))
     return 0
 
 
@@ -229,53 +220,42 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="check every identity of a formula document")
     p.add_argument("input")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("obstruct", parents=[common],
                        help="run the degree-5 diagnosis on a polyformula")
     p.add_argument("input")
+    p.set_defaults(run=cmd_obstruct)
 
     p = sub.add_parser("character", parents=[common],
                        help="character values of a polynomial at even permutations")
     p.add_argument("expr")
     p.add_argument("q", type=int)
     p.add_argument("perms", nargs="+")
+    p.set_defaults(run=cmd_character)
 
     p = sub.add_parser("symmetrize", parents=[common],
                        help="rewrite a symmetric polynomial in the s-basis")
     p.add_argument("expr")
+    p.set_defaults(run=cmd_symmetrize)
 
     p = sub.add_parser("abelize", parents=[common],
                        help="rewrite a towerformula to polynomial witnesses")
     p.add_argument("input")
+    p.set_defaults(run=cmd_abelize)
 
     p = sub.add_parser("builtin", parents=[common],
                        help="print a built-in formula document")
     p.add_argument("name")
+    p.set_defaults(run=cmd_builtin)
 
     return parser
 
 
-_COMMANDS = {
-    "verify": lambda config, args: cmd_verify(config),
-    "obstruct": lambda config, args: cmd_obstruct(config),
-    "character": lambda config, args: cmd_character(config, args.expr, args.q, args.perms),
-    "symmetrize": lambda config, args: cmd_symmetrize(config, args.expr),
-    "abelize": lambda config, args: cmd_abelize(config),
-    "builtin": lambda config, args: cmd_builtin(config, args.name),
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = CliConfig(
-        command=args.command,
-        inputs=[getattr(args, "input")] if hasattr(args, "input") else [],
-        output=args.output,
-        max_degree=args.max_degree,
-        verbose=args.verbose,
-    )
     try:
-        return _COMMANDS[args.command](config, args)
+        return args.run(args)
     except (DslError, OSError) as err:
         return _fail(str(err), 2)
     except (OverflowError, OrderCapError) as err:

@@ -120,10 +120,11 @@ class _Context:
     """Names by a line's rule (ground, first, radical): ground<first>.. are
     indices 1..n and radical1..radical<level> n+1..n+level, with no leading
     zeros.  A monomial product or power whose key is longer than key_bits
-    is left to the operators, which raise ExponentOverflowError."""
+    is left to the operators, which raise ExponentOverflowError.  An
+    unknown name's message gives the two ranges, never a list of names."""
 
-    def __init__(self, n: int, rule: tuple, level: int, nvars: int):
-        self.n, self.rule, self.level = n, rule, level
+    def __init__(self, n: int, rule: tuple, level: int, nvars: int, where: str = ""):
+        self.n, self.rule, self.level, self.where = n, rule, level, where
         self.key_bits = FIELD_BITS * (nvars + 2)
 
     def integer(self, value: int):
@@ -139,19 +140,18 @@ class _Context:
                 return i - first + 1
             if name[0] == radical and 1 <= i <= self.level:
                 return self.n + i
-        raise DslError(f"unknown variable {name!r}{self.expected()}")
+        where = f" in {self.where}" if self.where else ""
+        levels = f" or {radical}1..{radical}{self.level}" if self.level else ""
+        raise DslError(f"unknown variable {name!r}{where} "
+                       f"(expected {ground}{first}..{ground}{first + self.n - 1}{levels})")
 
 
 class PolyContext(_Context):
     """Evaluate into MPoly in the n + level variables of a line's rule."""
 
     def __init__(self, n: int, rule: tuple, level: int, where: str = ""):
-        super().__init__(n, rule, level, n + level)
-        self.nvars, self.where = n + level, where
-
-    def expected(self) -> str:
-        known = ", ".join(sorted(variable_names(self.n, self.rule, self.level)))
-        return (f" in {self.where}" if self.where else "") + f" (expected one of: {known})"
+        super().__init__(n, rule, level, n + level, where)
+        self.nvars = n + level
 
     def unity_root(self, q: int):
         return MPoly.constant(self.nvars, root_of_unity(q, q))
@@ -179,11 +179,6 @@ class TowerContext(_Context):
     def __init__(self, spec: TowerSpec, rule: tuple, level: int):
         super().__init__(spec.n, rule, level, spec.n)
         self.spec = spec
-
-    def expected(self) -> str:
-        ground, first, radical = self.rule
-        levels = f" or {radical}1..{radical}{self.level}" if self.level else ""
-        return f" (expected {ground}{first}..{ground}{first + self.n - 1}{levels})"
 
     def unity_root(self, q: int):
         return self.spec.scalar(root_of_unity(q, q))

@@ -30,7 +30,7 @@ from radform.dsl import (
 from radform.multipoly import (
     MPoly, _exps, _grouped, permute_vars, sigma_images, substitute, symmetrize,
 )
-from radform.cyclotomic import _prime_factors, root_of_unity
+from radform.cyclotomic import _is_prime, _prime_factors, root_of_unity
 from radform.tower import (
     ATTESTED_ASSERTED,
     ATTESTED_UNKNOWN,
@@ -39,7 +39,6 @@ from radform.tower import (
     TowerElem,
     TowerSpec,
     WitnessReport,
-    _is_prime,
     compatible,
 )
 

@@ -21,8 +21,11 @@ acc * power + low is one product loop into low's numerators.  Beyond
 ring arithmetic this module carries the symmetric-function kit:
 elementary symmetric polynomials, invariance tests under the full and
 the even (alternating) symmetric group, rewriting symmetric polynomials
-in the elementary basis by e-to-m transition counts, and a three-valued
-exact k-th root extractor.
+in the elementary basis by e-to-m transition counts, and the one exact
+k-th root extractor.  It takes its leading coefficient's root from exact
+rational roots and, for k = 2, from quadratic Gauss sums, so it answers
+UNDECIDED only for a non-rational leading coefficient or an irrational
+root for k >= 3.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from fractions import Fraction
 from radform.cyclotomic import (
     FIELD_BITS,
     FIELD_MASK,
+    ORDER_CAP,
     CycScalar,
     Frozen,
     Ring,
@@ -47,6 +51,7 @@ from radform.cyclotomic import (
     power,
     project,
     reduce_phi,
+    root_of_unity,
     term_text,
 )
 
@@ -736,28 +741,82 @@ def _int_kth_root(n: int, k: int) -> int | None:
     return lo if lo ** k == n else None
 
 
-def _fraction_kth_root(value: Fraction, k: int):
-    """Exact rational k-th root, or UNDECIDED when none exists in Q: the
-    root may still live in a larger cyclotomic field (sqrt(2), sqrt(-1),
-    ...), so a missing rational root is never a refutation here."""
-    if value < 0:
-        if k % 2 == 0:
-            return UNDECIDED
-        flipped = _fraction_kth_root(-value, k)
-        return UNDECIDED if flipped is UNDECIDED else -flipped
-    num = _int_kth_root(value.numerator, k)
-    den = _int_kth_root(value.denominator, k)
-    if num is None or den is None:
+def _legendre(a: int, p: int) -> int:
+    r = pow(a % p, (p - 1) // 2, p)
+    return r - p if r > 1 else r
+
+
+def _sqrt_prime(p: int) -> CycScalar:
+    """An exact square root of the prime p as a cyclotomic scalar.
+
+    For p = 2 this is w_8 + w_8^7.  For odd p the quadratic Gauss sum
+    over the Legendre symbol squares to p or -p according to p mod 4; in
+    the latter case dividing by i fixes the sign (Ireland and Rosen, A
+    Classical Introduction to Modern Number Theory, Ch. 6).
+    """
+    if p == 2:
+        eight = root_of_unity(8, 8)
+        return eight + eight ** 7
+    eps = root_of_unity(p, p)
+    total = CycScalar.zero(p)
+    for a in range(1, p):
+        total = total + CycScalar.from_rational(_legendre(a, p)) * eps ** a
+    if p % 4 == 1:
+        return total
+    return total * root_of_unity(4, 4) ** 3
+
+
+def _scalar_kth_root(c: CycScalar, k: int):
+    """Some mu with mu^k = c, or UNDECIDED.
+
+    A rational c with an exact rational root gets it.  For k = 2 any
+    other rational c gets the square root of its squarefree part,
+    assembled prime by prime from Gauss sums, times i when c < 0.  A
+    non-rational c, or an irrational root for k >= 3, is UNDECIDED: the
+    root may still live in some cyclotomic field, so a missing root is
+    never a refutation here.  Trial division stops at ORDER_CAP, the
+    largest w_p there is, so a square root that needs a prime above it
+    is refused with an OrderCapError at once.
+    """
+    if not c.is_rational():
         return UNDECIDED
-    return Fraction(num, den)
+    value = c.as_fraction()
+    sign = -1 if value < 0 and k % 2 else 1
+    num = _int_kth_root(sign * value.numerator, k)
+    den = _int_kth_root(value.denominator, k)
+    if num is not None and den is not None:
+        return CycScalar.from_rational(Fraction(sign * num, den))
+    if k != 2:
+        return UNDECIDED
+    m = value.numerator * value.denominator
+    rest, square, mu = abs(m), 1, CycScalar.one()
+    for p in range(2, ORDER_CAP + 1):  # a composite p divides rest no more
+        while rest % (p * p) == 0:
+            rest, square = rest // (p * p), square * p
+        if rest % p == 0:
+            rest, mu = rest // p, mu * _sqrt_prime(p)
+    root = math.isqrt(rest)
+    if root * root != rest:
+        capped(rest)  # a prime above the cap divides rest to an odd power
+    mu = mu * Fraction(square * root, value.denominator)
+    if m < 0:
+        mu = mu * root_of_unity(4, 4)
+    if mu ** k != c:
+        raise AssertionError("assembled square root fails to square back")
+    return mu
 
 
 def kth_root_poly(f: MPoly, k: int):
     """Exact g with g^k == f, or NO_ROOT / UNDECIDED.
 
-    Leading-term recursion in graded-lex order.  NO_ROOT is returned only
-    on structural failure (certain), while UNDECIDED covers the cases where
-    the leading coefficient's root cannot be resolved inside Q.
+    The one polynomial k-th root.  A root mu of the leading coefficient c
+    comes from _scalar_kth_root; the leading-term recursion in graded-lex
+    order then runs on f/c in f's own field, and g is its root times mu.
+    It stops only when f/c - g^k is zero, and mu^k = c holds by
+    construction, so (g * mu)^k == f needs no further check.  NO_ROOT is
+    certain: a leading exponent k does not divide, or a remainder the
+    recursion cannot reduce.  UNDECIDED is left only where mu is out of
+    reach: a non-rational c, or an irrational root of c for k >= 3.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -767,20 +826,20 @@ def kth_root_poly(f: MPoly, k: int):
     top, ws = f._lead()
     if any(e % k for e in _exps(top, n)):
         return NO_ROOT
-    if set(ws) != {0}:
+    lead = f._scalar(ws)
+    mu = _scalar_kth_root(lead, k)
+    if mu is UNDECIDED:
         return UNDECIDED
-    lead_root = _fraction_kth_root(Fraction(ws[0], f._den), k)
-    if lead_root is UNDECIDED:
-        return UNDECIDED
+    monic = f * lead.inv()
     root_key = _pack([e // k for e in _exps(top, n)])
-    g = _make(n, 1, {root_key: lead_root.numerator}, lead_root.denominator)
-    denom_inv = 1 / (k * lead_root ** (k - 1))
+    g = _make(n, 1, {root_key: 1})
+    scale = Fraction(1, k)
     last = None
     while True:
-        r = f - g ** k
+        r = monic - g ** k
         if r.is_zero():
-            return g
-        t = _divide_lead(r, root_key * (k - 1), denom_inv)
+            return g * mu
+        t = _divide_lead(r, root_key * (k - 1), scale)
         if t is None:
             return NO_ROOT
         t_key = t._lead()[0]

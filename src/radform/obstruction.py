@@ -16,6 +16,7 @@ one ends the run with a diagnosis instead of the contradiction.
 
 from __future__ import annotations
 
+from radform.cyclotomic import _is_prime
 from radform.formula import (
     PolyRadicalFormula,
     chain_identity,
@@ -29,7 +30,7 @@ from radform.permchar import (
     build_character,
     verify_hom_trivial,
 )
-from radform.tower import IdentityRecord, _is_prime, leading_term_text
+from radform.tower import IdentityRecord, leading_term_text
 
 __all__ = [
     "ContradictionRecord",

@@ -21,21 +21,11 @@ introduced it.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from fractions import Fraction
-from math import prod
 
-from radform.cyclotomic import CycScalar, _bezout_min_b, _prime_factors, root_of_unity
+from radform.cyclotomic import _bezout_min_b, root_of_unity
 from radform.formula import FormalRadicalFormula
-from radform.multipoly import (
-    MPoly,
-    UNDECIDED,
-    _fraction_kth_root,
-    is_symmetric,
-    kth_root_poly,
-    permute_vars,
-    symmetrize,
-)
+from radform.multipoly import MPoly, kth_root_poly, permute_vars, symmetrize
 from radform.tower import (
     ATTESTED_UNKNOWN,
     AttestationError,
@@ -117,11 +107,6 @@ def _extract(spec: TowerSpec, element: TowerElem, j: int) -> LastRadicalData:
     z = prime.generator(j)
     y_image = _retag(rho, prime) ** a * v ** b * z ** b
     q = _rewrite(lifted, j, y_image, prime)
-    if q.coords[1] != prime.one(j - 1):
-        raise AssertionError(
-            "the rewritten element does not have degree-1 coefficient 1 in z; "
-            "the z-change contract is violated"
-        )
     canonical = list(q.coords)
     canonical[1] = prime.one(j - 1)
     q = TowerElem(prime, j, tuple(canonical))
@@ -226,8 +211,8 @@ def build_R(f: MPoly):
     """Coefficients of the full-orbit product of z - f over all relabelings.
 
     Returns the univariate polynomial in z, ascending, with each
-    coefficient symmetrized into the elementary basis; the raw
-    coefficients are checked to be symmetric first.  Capped at four
+    coefficient symmetrized into the elementary basis, which refuses a
+    coefficient that is not symmetric (NotSymmetricError).  Capped at four
     variables since the product has n-factorial factors.
     """
     n = f.nvars
@@ -244,11 +229,6 @@ def build_R(f: MPoly):
             grown[i + 1] = grown[i + 1] + c
             grown[i] = grown[i] - c * moved
         coeffs = grown
-    for i, c in enumerate(coeffs):
-        if not is_symmetric(c):
-            raise AssertionError(
-                f"coefficient of z^{i} in the orbit product is not symmetric"
-            )
     return [symmetrize(c) for c in coeffs]
 
 
@@ -400,85 +380,6 @@ def _rewrite(elem: TowerElem, j: int, image: TowerElem, spec: TowerSpec):
     return TowerElem(spec, elem.level, coords)
 
 
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return r - p if r > 1 else r
-
-
-def _sqrt_prime(p: int) -> CycScalar:
-    """An exact square root of the prime p as a cyclotomic scalar.
-
-    For p = 2 this is eps_8 + eps_8^7.  For odd p the quadratic Gauss
-    sum over the Legendre symbol squares to p or -p according to
-    p mod 4; in the latter case dividing by i fixes the sign.
-    """
-    if p == 2:
-        eight = root_of_unity(8, 8)
-        return eight + eight ** 7
-    eps = root_of_unity(p, p)
-    total = CycScalar.zero(p)
-    for a in range(1, p):
-        total = total + CycScalar.from_rational(_legendre(a, p)) * eps ** a
-    if p % 4 == 1:
-        return total
-    return total * root_of_unity(4, 4) ** 3
-
-
-def _scalar_kth_root(c: CycScalar, k: int):
-    """Some mu with mu^k = c, or None when the search has no idea.
-
-    Rational values with exact rational roots are returned straight.
-    Square roots of other rationals are assembled from the squarefree
-    part, prime by prime, via Gauss sums; anything beyond that (odd k
-    with an irrational root, irrational c) is out of reach here and the
-    caller must treat the level as underivable.
-    """
-    if not c.is_rational():
-        return None
-    value = c.as_fraction()
-    plain = _fraction_kth_root(value, k)
-    if plain is not UNDECIDED:
-        return CycScalar.from_rational(plain)
-    if k != 2:
-        return None
-    m = value.numerator * value.denominator
-    exponents = Counter(_prime_factors(abs(m)))
-    square = prod(p ** (e // 2) for p, e in exponents.items())
-    mu = CycScalar.from_rational(Fraction(square, value.denominator))
-    if m < 0:
-        mu = mu * root_of_unity(4, 4)
-    for p, e in exponents.items():
-        if e % 2:
-            mu = mu * _sqrt_prime(p)
-    if mu ** k != c:
-        raise AssertionError("assembled square root fails to square back")
-    return mu
-
-
-def _seeded_root(f: MPoly, k: int):
-    """kth_root_poly, retried with a cyclotomic leading-coefficient root.
-
-    The recursion inside kth_root_poly is generic once the leading
-    coefficient's root is known; UNDECIDED only ever means that root was
-    not rational.  Dividing the leading coefficient out and multiplying
-    its root back in settles exactly those cases.
-    """
-    root = kth_root_poly(f, k)
-    if root is not UNDECIDED:
-        return root
-    _, lead = f.leading_term()
-    mu = _scalar_kth_root(lead, k)
-    if mu is None:
-        return UNDECIDED
-    base = kth_root_poly(f * lead.inv(), k)
-    if not isinstance(base, MPoly):
-        return base
-    candidate = base * mu
-    if candidate ** k == f:
-        return candidate
-    return UNDECIDED
-
-
 def derive_witnesses(formula: FormalRadicalFormula):
     """Search polynomial witnesses for a tower, bottom level up.
 
@@ -506,7 +407,7 @@ def _walk_witnesses(formula: FormalRadicalFormula, wits, notes):
         return None
     k = spec.ks[j - 1]
     rho_x = expand_with_witnesses(spec.ps[j - 1], wits)
-    root = _seeded_root(rho_x.num * rho_x.den ** (k - 1), k)
+    root = kth_root_poly(rho_x.num * rho_x.den ** (k - 1), k)
     if not isinstance(root, MPoly):
         return None
     eps = root_of_unity(k, k)

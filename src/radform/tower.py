@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from radform.cyclotomic import CycScalar, Field, Frozen, _prime_factors, coerced
+from radform.cyclotomic import CycScalar, Field, Frozen, _is_prime, coerced
 from radform.multipoly import (
     MPoly,
     NO_ROOT,
     UNDECIDED,
-    _fraction_kth_root,
+    _scalar_kth_root,
     divide_exact,
     kth_root_poly,
     sigma_images,
@@ -71,10 +71,6 @@ ATTESTED_UNKNOWN = "unknown"
 
 class AttestationError(RuntimeError):
     """Division needed a nonpower attestation that is missing or false."""
-
-
-def _is_prime(k: int) -> bool:
-    return _prime_factors(k) == [k]
 
 
 class RatFunc(Field):
@@ -543,9 +539,12 @@ def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
     """Decide, where possible, that p_(level-1) is not a k_level-th power
     one level down.
 
-    At level 1 the question reduces to exact root extraction in the
-    polynomial ring: A/B is a k-th power iff A*B^(k-1) is one.  Deeper
-    levels only certify the easy refutations (literal constants) and
+    At level 1 the question reduces to kth_root_poly: A/B is a k-th power
+    iff A*B^(k-1) is one.  A refutation carries the root, which may lie
+    in a larger cyclotomic field (2*s1^2 = ((w(8) - w(8)^3)*s1)^2), and
+    "undecided" is left only where the leading coefficient's root is out
+    of reach: a non-rational coefficient, or an irrational root for k >= 3.
+    Deeper levels refute literal constants with the same scalar root and
     otherwise return "undecided".
     """
     if not 1 <= level <= spec.s:
@@ -572,7 +571,7 @@ def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
         return NonpowerResult(level, k, "refuted", root, "explicit root found")
     flat = _constant_scalar(rho)
     if flat is not None:
-        root = _fraction_kth_root(flat, k)
+        root = _scalar_kth_root(flat, k)
         if root is not UNDECIDED:
             return NonpowerResult(
                 level, k, "refuted", spec.scalar(root, level - 1), "constant root"
@@ -584,13 +583,11 @@ def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
 
 
 def _constant_scalar(e: TowerElem):
-    """The rational value of e when it is a literal rational constant."""
+    """The value of e when it is a literal constant."""
     if e.level == 0:
         num, den = e.payload.num, e.payload.den
         if num.is_constant() and den.is_constant():
-            a, b = num.constant_value(), den.constant_value()
-            if a.is_rational() and b.is_rational():
-                return a.as_fraction() / b.as_fraction()
+            return num.constant_value() / den.constant_value()
         return None
     head = _constant_scalar(e.payload[0])
     if head is None:

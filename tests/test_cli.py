@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from radform.cli import CliConfig, DEFAULT_MAX_DEGREE, main
+from radform.cli import DEFAULT_MAX_DEGREE, build_parser, cmd_verify, main
 from radform.formula import parse
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -97,6 +97,16 @@ class TestVerify:
     def test_false_level1_attestation_is_refuted(self, capsys, tmp_path):
         code, out, err = run(capsys, "verify", false_level1_tower(tmp_path))
         assert (code, out, err) == (1, "", REFUTED_LEVEL1)
+
+    @pytest.mark.parametrize("command", ["verify", "abelize"])
+    def test_attestation_refuted_by_a_gauss_sum_root(self, capsys, tmp_path, command):
+        # 2*s1^2 = (sqrt(2)*s1)^2, with sqrt(2) = w(8) - w(8)^3
+        path = tmp_path / "gauss.tower"
+        path.write_text("towerformula n=2 s=1\nk 2\np 0 = 2*s1^2\ntarget = s1\n"
+                        "assert-nonpower 1\n")
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (
+            1, "", "level 1: nonpower attestation refuted: p_0 = ((w(8) - w(8)^3)*s1)^2\n")
 
 
 class TestObstruct:
@@ -291,10 +301,10 @@ class TestAbelize:
 
 class TestConfig:
     def test_defaults(self):
-        config = CliConfig(command="verify")
-        assert config.max_degree == DEFAULT_MAX_DEGREE
-        assert config.output is None
-        assert config.inputs == [] and config.inputs is not CliConfig("verify").inputs
+        args = build_parser().parse_args(["verify", "doc.tower"])
+        assert args.max_degree == DEFAULT_MAX_DEGREE
+        assert args.output is None
+        assert args.input == "doc.tower" and args.run is cmd_verify
 
     def test_console_script_round_trip(self):
         result = subprocess.run(
@@ -389,6 +399,14 @@ class TestBoundedInputs:
         path = tmp_path / "high_p.doc"
         path.write_text("scheme n=2 s=100000000\np 99999999 = 1\n")
         assert run_bounded("verify", path, seconds=1) == (2, "", "missing k line\n")
+
+    def test_unknown_name_on_a_high_p_line(self, tmp_path):
+        # the message gives the ranges of the names, never a list of them
+        path = tmp_path / "high_p_unknown.doc"
+        path.write_text("scheme n=2 s=100000000\np 99999999 = q\n")
+        assert run_bounded("verify", path, seconds=1) == (
+            2, "", "unknown variable 'q' in p 99999999 (expected a0..a1 or z1..z99999999)"
+            " (line 2, column 14)\n")
 
     def test_coefficient_past_the_digit_limit(self):
         assert run_bounded("symmetrize", "x1+x2+10^5000") == (

@@ -235,6 +235,18 @@ def test_multiplicative_inverse(a):
         assert a * a.inv() == 1
 
 
+def test_inverse_multiplies_back_in_every_field():
+    # inv divides the product of the conjugates by the norm x * adj(x); a
+    # wrong set of conjugates leaves that norm non-rational
+    rng = random.Random(5)
+    for order in range(1, 25):
+        for _ in range(2):
+            a = CycScalar(order, [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                  for _ in range(euler_phi(order))])
+            if not a.is_rational():
+                assert a * a.inv() == 1, (order, a)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scalars(), st.integers(min_value=0, max_value=6))
 def test_power_is_iterated_product(a, k):

@@ -398,7 +398,7 @@ PINNED_ERRORS = [
     ("x2", "x1 + $", 7, ("DslError", "unexpected character '$' (line 7, column 6)", 7, 6)),
     ("x1", "1 + w(101)", 2, ("DslError", "root-of-unity order 101 exceeds the cap 100 (line 2, column 7)", 2, 7)),
     ("tower", "1 + w(101)", 2, ("DslError", "root-of-unity order 101 exceeds the cap 100 (line 2, column 7)", 2, 7)),
-    ("x2", "x1 + q7", 3, ("DslError", "unknown variable 'q7' (expected one of: x1, x2) (line 3, column 6)", 3, 6)),
+    ("x2", "x1 + q7", 3, ("DslError", "unknown variable 'q7' (expected x1..x2) (line 3, column 6)", 3, 6)),
     ("x2", "x1/x2", 1, ("DslError", "division by a non-constant polynomial is not allowed here (line 1, column 3)", 1, 3)),
     ("x2", "x1/0", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
     ("x1", "x1 x1", 1, ("DslError", "unexpected 'x1' (line 1, column 4)", 1, 4)),
@@ -407,7 +407,7 @@ PINNED_ERRORS = [
     ("tower", "s1/y1", 1, ("DslError", "divisors must be radical-free (no y-variables) (line 1, column 3)", 1, 3)),
     ("tower", "y2", 1, ("DslError", "unknown variable 'y2' (expected s1..s2 or y1..y1) (line 1, column 1)", 1, 1)),
     ("tower", "s3", 1, ("DslError", "unknown variable 's3' (expected s1..s2 or y1..y1) (line 1, column 1)", 1, 1)),
-    ("x3", "x1*q7*x2", 4, ("DslError", "unknown variable 'q7' (expected one of: x1, x2, x3) (line 4, column 4)", 4, 4)),
+    ("x3", "x1*q7*x2", 4, ("DslError", "unknown variable 'q7' (expected x1..x3) (line 4, column 4)", 4, 4)),
     ("x3", "x1*x2/0", 1, ("DslError", "division by zero (line 1, column 6)", 1, 6)),
     ("x3", "x1*x2/x3", 1, ("DslError", "division by a non-constant polynomial is not allowed here (line 1, column 6)", 1, 6)),
     ("x3", "x1*x2 + x1^", 5, ("DslError", "exponent must be a nonnegative integer (line 5, column 12)", 5, 12)),
@@ -426,9 +426,9 @@ PINNED_ERRORS = [
     ("x3", "x1/(2 - 2)", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
     ("x3", "x1/0^2", 1, ("DslError", "division by zero (line 1, column 3)", 1, 3)),
     ("x3", "x1^2^", 1, ("DslError", "exponent must be a nonnegative integer (line 1, column 6)", 1, 6)),
-    ("x3", "w*x1", 1, ("DslError", "unknown variable 'w' (expected one of: x1, x2, x3) (line 1, column 1)", 1, 1)),
+    ("x3", "w*x1", 1, ("DslError", "unknown variable 'w' (expected x1..x3) (line 1, column 1)", 1, 1)),
     ("x3", "x1 + 2 ²", 1, ("DslError", "unexpected character '²' (line 1, column 8)", 1, 8)),
-    ("f", "3*x1*x9", 2, ("DslError", "unknown variable 'x9' in p 1 (expected one of: x1, x2, x3) (line 2, column 6)", 2, 6)),
+    ("f", "3*x1*x9", 2, ("DslError", "unknown variable 'x9' in p 1 (expected x1..x3) (line 2, column 6)", 2, 6)),
     ("tower", "s1*s2/(s1 - s1)", 1, ("DslError", "division by zero (line 1, column 6)", 1, 6)),
     ("tower", "s1*y1*s9", 1, ("DslError", "unknown variable 's9' (expected s1..s2 or y1..y1) (line 1, column 7)", 1, 7)),
     ("tower", "s1*s2/y1", 1, ("DslError", "divisors must be radical-free (no y-variables) (line 1, column 6)", 1, 6)),

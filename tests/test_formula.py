@@ -225,20 +225,20 @@ BAD_DOCUMENTS = [
     (T1 + "assert-nonpower 0\nk 2\np 0 = s1\ntarget = y1\n",
      "assert-nonpower level must be 1..1", 2, None),
     (S1 + "k 2\np 0 = a0\np 1 = z2\n",
-     "unknown variable 'z2' in p 1 (expected one of: a0, a1, z1)", 4, 7),
-    (P1 + "k 2\np 0 = x1\n", "unknown variable 'x1' in p 0 (expected one of: s1, s2)", 3, 7),
+     "unknown variable 'z2' in p 1 (expected a0..a1 or z1..z1)", 4, 7),
+    (P1 + "k 2\np 0 = x1\n", "unknown variable 'x1' in p 0 (expected s1..s2)", 3, 7),
     (P1 + "k 2\np 0 = s1\np 1 = f1\nwitness 1 = s1\n",
-     "unknown variable 's1' in witness 1 (expected one of: x1, x2)", 5, 13),
+     "unknown variable 's1' in witness 1 (expected x1..x2)", 5, 13),
     (T1 + "k 2\np 0 = y1\n", "unknown variable 'y1' (expected s1..s2)", 3, 7),
     (T1 + "k 2\np 0 = s3\n", "unknown variable 's3' (expected s1..s2)", 3, 7),
     (T1 + "k 2\np 0 = s1\ntarget = y2\n",
      "unknown variable 'y2' (expected s1..s2 or y1..y1)", 4, 10),
-    (S1 + "k 2\np 0 = a00\n", "unknown variable 'a00' in p 0 (expected one of: a0, a1)", 3, 7),
+    (S1 + "k 2\np 0 = a00\n", "unknown variable 'a00' in p 0 (expected a0..a1)", 3, 7),
     (S1 + "k 2\np 0 = a0\np 1 = z01\n",
-     "unknown variable 'z01' in p 1 (expected one of: a0, a1, z1)", 4, 7),
-    (P1 + "k 2\np 0 = s01\n", "unknown variable 's01' in p 0 (expected one of: s1, s2)", 3, 7),
+     "unknown variable 'z01' in p 1 (expected a0..a1 or z1..z1)", 4, 7),
+    (P1 + "k 2\np 0 = s01\n", "unknown variable 's01' in p 0 (expected s1..s2)", 3, 7),
     (P1 + "k 2\np 0 = s1\np 1 = f1\nwitness 1 = x01\n",
-     "unknown variable 'x01' in witness 1 (expected one of: x1, x2)", 5, 13),
+     "unknown variable 'x01' in witness 1 (expected x1..x2)", 5, 13),
     (T1 + "k 2\np 0 = s01\n", "unknown variable 's01' (expected s1..s2)", 3, 7),
     (T1 + "k 2\np 0 = s1\ntarget = y01\n",
      "unknown variable 'y01' (expected s1..s2 or y1..y1)", 4, 10),

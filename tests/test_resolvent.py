@@ -17,12 +17,13 @@ Frozen expectations, computed by hand before implementation:
   (U-y1)/54 has no y2, runs level 1 (u = 1/2), ending with polynomial
   witnesses [(u^3-v^3)/2, u, v/3].
 * The leading coefficient of the expanded (u^3-v^3)^2 is -27, whose
-  square root 3*sqrt(-3) lives in the third cyclotomic field; the plain
-  extractor reports UNDECIDED there and the seeded retry must finish.
+  square root 3*sqrt(-3) lives in the third cyclotomic field, not in Q;
+  kth_root_poly takes it from a Gauss sum and finds the root.
 """
 
 import gc
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -36,12 +37,17 @@ from radform.formula import (
     to_poly_formula,
     verify_poly_formula,
 )
-from radform.multipoly import MPoly, kth_root_poly, symmetrize, UNDECIDED
+from radform.multipoly import (
+    MPoly,
+    UNDECIDED,
+    _scalar_kth_root,
+    _sqrt_prime,
+    kth_root_poly,
+    symmetrize,
+)
 from radform.resolvent import (
     _bezout_min_b,
-    _scalar_kth_root,
-    _seeded_root,
-    _sqrt_prime,
+    _rewrite,
     abel_polynomialize,
     build_R,
     derive_witnesses,
@@ -132,13 +138,12 @@ class TestScalarRoots:
     def test_exact_higher_roots_only(self):
         eight = _scalar_kth_root(CycScalar.from_rational(8), 3)
         assert eight == CycScalar.from_rational(2)
-        assert _scalar_kth_root(CycScalar.from_rational(2), 3) is None
+        assert _scalar_kth_root(CycScalar.from_rational(2), 3) is UNDECIDED
 
     def test_seeded_root_on_negative_leading(self):
         u, v = cubic_resolvents()
         f = (u ** 3 - v ** 3) ** 2
-        assert kth_root_poly(f, 2) is UNDECIDED
-        g = _seeded_root(f, 2)
+        g = kth_root_poly(f, 2)
         assert isinstance(g, MPoly)
         assert g ** 2 == f
 
@@ -262,6 +267,34 @@ def test_extraction_round_trips(k, raw, l_pick):
     assert data.l == first
     assert data.q_poly.coords[1] == data.spec_prime.one(1)
     assert _substitute_z(data, spec) == target
+
+
+def _rewritten_target(formula):
+    """The target after the z-change, as _rewrite leaves it: coordinate 1
+    is read before _extract puts the canonical one in its place."""
+    data = extract_last_radical(formula)
+    j = data.level
+    lifted = formula.spec.lift(formula.target, j)
+    return _rewrite(lifted, j, data.y_image, data.spec_prime), data
+
+
+def test_rewrite_makes_the_degree_one_coefficient_one():
+    rng = random.Random(3)
+    path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "degree3.tower"
+    formulas = [quad_formula(), cubic_formula(), parse(path.read_text())]
+    for k in (2, 3, 5):
+        for l in range(1, k):
+            spec = TowerSpec(2)
+            spec.add_level(k, spec.from_sigma_poly(MPoly.variable(2, 1) + 2), ATTESTED_ASSERTED)
+            target = spec.lift(spec.from_sigma_poly(MPoly.variable(2, 2)), 1)
+            for m in range(l, k):
+                c = rng.randint(1, 4) if m == l else rng.randint(-3, 3)
+                target = target + spec.generator(1) ** m * c
+            formulas.append(FormalRadicalFormula(spec, target))
+    for formula in formulas:
+        raw, data = _rewritten_target(formula)
+        assert raw.coords[1] == data.spec_prime.one(data.level - 1)
+        assert raw.coords == data.q_poly.coords
 
 
 class TestResolventAverage:

@@ -570,6 +570,36 @@ class TestNonpower:
         result = nonpower_check(cubic, 2)
         assert result.status == "undecided"
 
+    def test_level_one_refuted_with_a_gauss_sum_root(self):
+        spec = TowerSpec(2)
+        spec.add_level(2, spec.from_sigma_poly(2 * sigma(2, 1) ** 2))
+        result = nonpower_check(spec, 1)
+        assert result.status == "refuted"
+        assert result.root.render() == "(w(8) - w(8)^3)*s1"
+        assert result.root ** 2 == spec.ps[0]
+
+    def test_nested_constant_refuted_with_a_gauss_sum_root(self):
+        spec = quad_spec()
+        spec.add_level(2, spec.scalar(2, 1))
+        result = nonpower_check(spec, 2)
+        assert result.status == "refuted"
+        w8 = root_of_unity(8, 8)
+        assert result.root == spec.scalar(w8 - w8 ** 3, 1)
+        assert result.root ** 2 == spec.ps[1]
+
+    def test_nested_non_rational_constant_undecided(self):
+        spec = quad_spec()
+        spec.add_level(2, spec.scalar(root_of_unity(3, 3), 1))
+        assert nonpower_check(spec, 2).status == "undecided"
+
+    @pytest.mark.parametrize("name, statuses", [
+        ("degree2.tower", ["verified"]),
+        ("degree3.tower", ["verified", "undecided", "undecided"]),
+    ])
+    def test_fixture_levels(self, name, statuses):
+        spec = parse((DEGREE3_TOWER.parent / name).read_text()).spec
+        assert [nonpower_check(spec, j).status for j in range(1, spec.s + 1)] == statuses
+
 
 # ---------------------------------------------------------------------------
 # annihilation certificates
