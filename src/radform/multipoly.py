@@ -774,9 +774,9 @@ def _scalar_kth_root(c: CycScalar, k: int):
     assembled prime by prime from Gauss sums, times i when c < 0.  A
     non-rational c, or an irrational root for k >= 3, is UNDECIDED: the
     root may still live in some cyclotomic field, so a missing root is
-    never a refutation here.  Trial division stops at ORDER_CAP, the
-    largest w_p there is, so a square root that needs a prime above it
-    is refused with an OrderCapError at once.
+    never a refutation here.  Trial division stops at ORDER_CAP, since
+    root_of_unity builds no w_p above it, so a square root that needs a
+    larger prime is refused with an OrderCapError at once.
     """
     if not c.is_rational():
         return UNDECIDED

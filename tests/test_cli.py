@@ -408,6 +408,17 @@ class TestBoundedInputs:
             2, "", "unknown variable 'q' in p 99999999 (expected a0..a1 or z1..z99999999)"
             " (line 2, column 14)\n")
 
+    @pytest.mark.parametrize("command", ["verify", "abelize"])
+    def test_square_root_past_the_order_cap(self, command, tmp_path):
+        # trial division for the Gauss sums stops at the order cap, so a
+        # 31-digit prime is refused without being factored
+        prime = 10 ** 30 + 57
+        path = tmp_path / "big_prime.tower"
+        path.write_text(f"towerformula n=2 s=1\nk 2\np 0 = {prime}*s1^2\ntarget = s1\n")
+        prefix = "witness derivation failed: " if command == "verify" else ""
+        assert run_bounded(command, path, seconds=1) == (
+            1, "", f"{prefix}root-of-unity order {prime} exceeds the cap 100\n")
+
     def test_coefficient_past_the_digit_limit(self):
         assert run_bounded("symmetrize", "x1+x2+10^5000") == (
             1, "", "coefficient of 5001 digits is too long to print\n")

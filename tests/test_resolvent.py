@@ -269,16 +269,9 @@ def test_extraction_round_trips(k, raw, l_pick):
     assert _substitute_z(data, spec) == target
 
 
-def _rewritten_target(formula):
-    """The target after the z-change, as _rewrite leaves it: coordinate 1
-    is read before _extract puts the canonical one in its place."""
-    data = extract_last_radical(formula)
-    j = data.level
-    lifted = formula.spec.lift(formula.target, j)
-    return _rewrite(lifted, j, data.y_image, data.spec_prime), data
-
-
 def test_rewrite_makes_the_degree_one_coefficient_one():
+    # coordinate 1 of the rewritten target is read as _rewrite leaves it,
+    # before _extract puts the canonical one in its place
     rng = random.Random(3)
     path = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "degree3.tower"
     formulas = [quad_formula(), cubic_formula(), parse(path.read_text())]
@@ -292,8 +285,10 @@ def test_rewrite_makes_the_degree_one_coefficient_one():
                 target = target + spec.generator(1) ** m * c
             formulas.append(FormalRadicalFormula(spec, target))
     for formula in formulas:
-        raw, data = _rewritten_target(formula)
-        assert raw.coords[1] == data.spec_prime.one(data.level - 1)
+        data = extract_last_radical(formula)
+        j = data.level
+        raw = _rewrite(formula.spec.lift(formula.target, j), j, data.y_image, data.spec_prime)
+        assert raw.coords[1] == data.spec_prime.one(j - 1)
         assert raw.coords == data.q_poly.coords
 
 
