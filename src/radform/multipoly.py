@@ -23,9 +23,10 @@ elementary symmetric polynomials, invariance tests under the full and
 the even (alternating) symmetric group, rewriting symmetric polynomials
 in the elementary basis by e-to-m transition counts, and the one exact
 k-th root extractor.  It takes its leading coefficient's root from exact
-rational roots and, for k = 2, from quadratic Gauss sums, so it answers
-UNDECIDED only for a non-rational leading coefficient or an irrational
-root for k >= 3.
+rational roots and, for k = 2, from quadratic Gauss sums.  A rational
+coefficient with no rational root at a prime k >= 3 has no root in any
+cyclotomic field, so that is NO_ROOT, and UNDECIDED is left only for a
+non-rational leading coefficient or an irrational root at a composite k.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from radform.cyclotomic import (
     CycScalar,
     Frozen,
     Ring,
+    _is_prime,
     capped,
     coerced,
     euler_phi,
@@ -767,14 +769,18 @@ def _sqrt_prime(p: int) -> CycScalar:
 
 
 def _scalar_kth_root(c: CycScalar, k: int):
-    """Some mu with mu^k = c, or UNDECIDED.
+    """Some mu with mu^k = c, or NO_ROOT / UNDECIDED.
 
     A rational c with an exact rational root gets it.  For k = 2 any
     other rational c gets the square root of its squarefree part,
-    assembled prime by prime from Gauss sums, times i when c < 0.  A
-    non-rational c, or an irrational root for k >= 3, is UNDECIDED: the
-    root may still live in some cyclotomic field, so a missing root is
-    never a refutation here.  Trial division stops at ORDER_CAP, since
+    assembled prime by prime from Gauss sums, times i when c < 0.  At a
+    prime k >= 3 any other rational c is NO_ROOT: x^k - c is then
+    irreducible, and a Q(w_N) holding one root would hold all of them
+    (its subfields are Galois) and so w_k, making k - 1 divide k.  A
+    non-rational c, or an irrational root at a composite k, is
+    UNDECIDED: the root may still live in some cyclotomic field, so that
+    is never a refutation.  NO_ROOT speaks only of cyclotomic fields; a
+    tower may still hold a root.  Trial division stops at ORDER_CAP, since
     root_of_unity builds no w_p above it, so a square root that needs a
     larger prime is refused with an OrderCapError at once.
     """
@@ -787,7 +793,7 @@ def _scalar_kth_root(c: CycScalar, k: int):
     if num is not None and den is not None:
         return CycScalar.from_rational(Fraction(sign * num, den))
     if k != 2:
-        return UNDECIDED
+        return NO_ROOT if _is_prime(k) else UNDECIDED
     m = value.numerator * value.denominator
     rest, square, mu = abs(m), 1, CycScalar.one()
     for p in range(2, ORDER_CAP + 1):  # a composite p divides rest no more
@@ -814,9 +820,10 @@ def kth_root_poly(f: MPoly, k: int):
     order then runs on f/c in f's own field, and g is its root times mu.
     It stops only when f/c - g^k is zero, and mu^k = c holds by
     construction, so (g * mu)^k == f needs no further check.  NO_ROOT is
-    certain: a leading exponent k does not divide, or a remainder the
-    recursion cannot reduce.  UNDECIDED is left only where mu is out of
-    reach: a non-rational c, or an irrational root of c for k >= 3.
+    certain: a leading exponent k does not divide, c has no cyclotomic
+    k-th root, or a remainder the recursion cannot reduce.  UNDECIDED is
+    left only where mu is out of reach: a non-rational c, or an
+    irrational root of c at a composite k.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -828,8 +835,8 @@ def kth_root_poly(f: MPoly, k: int):
         return NO_ROOT
     lead = f._scalar(ws)
     mu = _scalar_kth_root(lead, k)
-    if mu is UNDECIDED:
-        return UNDECIDED
+    if not isinstance(mu, CycScalar):
+        return mu
     monic = f * lead.inv()
     root_key = _pack([e // k for e in _exps(top, n)])
     g = _make(n, 1, {root_key: 1})

@@ -16,16 +16,20 @@ _same_payload for ==) runs on the coordinates of one level with no operator
 dispatch, and a product sums into empty slots, never into a zero.
 
 Division goes through the absolute norm: a^-1 = adj(a) / N(a), where
-adj(a) multiplies the nontrivial conjugates of a level by level down the
-tower and N(a) = a * adj(a) lies in F_0.  Everything up to the one
+adj(a) multiplies the adjugates of a level by level down the tower and
+N(a) = a * adj(a) lies in F_0.  A level's adjugate comes from the
+Faddeev-LeVerrier recurrence on multiplication by x, with k - 1 products
+in the level's own field: in the basis 1, y, ..., y^(k-1) the trace of
+multiplication by z is k times z's constant coordinate, since y^i for
+0 < i < k moves every basis vector to another.  Everything up to the one
 division by N(a) is polynomial, and so is the self-check a * adj(a) == N(a).
 
 Whether each quotient is really a field depends on p_(j-1) not being a
 k_j-th power one level down.  That fact is tracked per level as a
 three-valued attestation (verified / asserted / unknown); division refuses
 to run on unknown levels, and a falsely attested level is detected when
-an inverse meets an element whose norm (the product of its conjugates)
-is zero at some level.
+an inverse meets an element whose norm (the determinant of
+multiplication by it) is zero at some level.
 """
 
 from __future__ import annotations
@@ -389,15 +393,19 @@ class TowerElem(Field):
     def inverse(self) -> "TowerElem":
         """Multiplicative inverse through the absolute norm: a^-1 = adj(a) / N(a).
 
-        At level j, with sigma: y_j -> w_k*y_j, the product of the k - 1
-        nontrivial conjugates of x times x is fixed by sigma and so lives
-        one level down.  Walking x down the tower that way multiplies the
-        conjugate products into adj(a) and leaves the absolute norm N(a)
-        at level 0 (transitivity of the norm), so the one division is by
-        N(a) at the end, after the fraction-free check a * adj(a) == N(a).
-        Every level walked requires a nonpower attestation; a zero norm
-        means x is a zero divisor modulo y_j^k - rho, which refutes the
-        attestation and raises instead of returning garbage.
+        At level j, multiplication by x on F_(j-1)[y]/(y^k - rho) has the
+        trace Tr(z) = k * z_0 (Lang, Algebra, Ch. VI, Sec. 5), so the
+        Faddeev-LeVerrier recurrence M_1 = 1, M_(m+1) = x*M_m + c_m with
+        c_m = -k * (x*M_m)_0 / m gives x*M_k = (-1)^(k+1) * N(x) one level
+        down after k - 1 products in the level's own field (Cohen, A Course
+        in Computational Algebraic Number Theory, Algorithm 2.2.7).  Walking
+        x down the tower that way multiplies the adjugates into adj(a) and
+        leaves the absolute norm N(a) at level 0 (transitivity of the norm),
+        so the one division is by N(a) at the end, after the fraction-free
+        check a * adj(a) == N(a).  Every level walked requires a nonpower
+        attestation; a zero norm means x is a zero divisor modulo
+        y_j^k - rho, which refutes the attestation and raises instead of
+        returning garbage.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower")
@@ -414,15 +422,17 @@ class TowerElem(Field):
             if all(c.is_zero() for c in x.payload[1:]):
                 x = x.payload[0]
                 continue
-            # P_m = sigma(x) * ... * sigma^m(x) along the bits of k - 1:
-            # P_2m = P_m * sigma^m(P_m) and P_(m+1) = P_m * sigma^(m+1)(x)
-            others, m = conjugate(x, level, 1), 1
-            for bit in bin(spec.ks[level - 1] - 1)[3:]:
-                others, m = others * conjugate(others, level, m), 2 * m
-                if bit == "1":
-                    others, m = others * conjugate(x, level, m + 1), m + 1
+            # M_(m+1) has the coordinates of x*M_m but the constant one,
+            # (x*M_m)_0 * (m - k)/m; x*M_1 = x costs no product
+            k, prod = spec.ks[level - 1], x
+            for m in range(1, k):
+                head = _scale(prod.payload[0], Fraction(m - k, m))
+                others = TowerElem(spec, level, (head,) + prod.payload[1:])
+                prod = x * others
+            if k == 2:  # x*M_k = -N(x) for even k
+                others, prod = -others, -prod
             adj = others if adj is None else adj * others
-            x = (x * others).coords[0]
+            x = prod.coords[0]
             if x.is_zero():
                 raise AttestationError(
                     f"defining polynomial at level {level} is reducible; the "
@@ -493,7 +503,7 @@ def _fold(raw: list, k: int, rho: TowerElem) -> list:
 # conjugation
 
 
-def _scale(e: TowerElem, factor: CycScalar) -> TowerElem:
+def _scale(e: TowerElem, factor: CycScalar | Fraction) -> TowerElem:
     if e.level == 0:
         rf = e.payload
         return TowerElem(
@@ -543,9 +553,10 @@ def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
     iff A*B^(k-1) is one.  A refutation carries the root, which may lie
     in a larger cyclotomic field (2*s1^2 = ((w(8) - w(8)^3)*s1)^2), and
     "undecided" is left only where the leading coefficient's root is out
-    of reach: a non-rational coefficient, or an irrational root for k >= 3.
-    Deeper levels refute literal constants with the same scalar root and
-    otherwise return "undecided".
+    of reach: a non-rational coefficient.  Deeper levels refute literal
+    constants with the same scalar root and otherwise return "undecided",
+    also for a constant with no cyclotomic root, which may still have one
+    in the tower (with y1^3 = 2, the level y2^3 = 2 has the root y1).
     """
     if not 1 <= level <= spec.s:
         raise ValueError(f"no level {level} in this tower")
@@ -572,7 +583,7 @@ def nonpower_check(spec: TowerSpec, level: int) -> NonpowerResult:
     flat = _constant_scalar(rho)
     if flat is not None:
         root = _scalar_kth_root(flat, k)
-        if root is not UNDECIDED:
+        if isinstance(root, CycScalar):
             return NonpowerResult(
                 level, k, "refuted", spec.scalar(root, level - 1), "constant root"
             )

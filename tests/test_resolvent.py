@@ -39,7 +39,7 @@ from radform.formula import (
 )
 from radform.multipoly import (
     MPoly,
-    UNDECIDED,
+    NO_ROOT,
     _scalar_kth_root,
     _sqrt_prime,
     kth_root_poly,
@@ -138,7 +138,7 @@ class TestScalarRoots:
     def test_exact_higher_roots_only(self):
         eight = _scalar_kth_root(CycScalar.from_rational(8), 3)
         assert eight == CycScalar.from_rational(2)
-        assert _scalar_kth_root(CycScalar.from_rational(2), 3) is UNDECIDED
+        assert _scalar_kth_root(CycScalar.from_rational(2), 3) is NO_ROOT
 
     def test_seeded_root_on_negative_leading(self):
         u, v = cubic_resolvents()
