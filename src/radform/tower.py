@@ -16,13 +16,10 @@ _same_payload for ==) runs on the coordinates of one level with no operator
 dispatch, and a product sums into empty slots, never into a zero.
 
 Division goes through the absolute norm: a^-1 = adj(a) / N(a), where
-adj(a) multiplies the adjugates of a level by level down the tower and
-N(a) = a * adj(a) lies in F_0.  A level's adjugate comes from the
-Faddeev-LeVerrier recurrence on multiplication by x, with k - 1 products
-in the level's own field: in the basis 1, y, ..., y^(k-1) the trace of
-multiplication by z is k times z's constant coordinate, since y^i for
-0 < i < k moves every basis vector to another.  Everything up to the one
-division by N(a) is polynomial, and so is the self-check a * adj(a) == N(a).
+adj(a) multiplies the adjugates of a level by level down the tower, each
+from k - 1 products in the level's own field, and N(a) = a * adj(a) lies
+in F_0.  Everything up to the one division by N(a) is polynomial, and so
+is the self-check a * adj(a) == N(a).
 
 Whether each quotient is really a field depends on p_(j-1) not being a
 k_j-th power one level down.  That fact is tracked per level as a
@@ -393,19 +390,14 @@ class TowerElem(Field):
     def inverse(self) -> "TowerElem":
         """Multiplicative inverse through the absolute norm: a^-1 = adj(a) / N(a).
 
-        At level j, multiplication by x on F_(j-1)[y]/(y^k - rho) has the
-        trace Tr(z) = k * z_0 (Lang, Algebra, Ch. VI, Sec. 5), so the
-        Faddeev-LeVerrier recurrence M_1 = 1, M_(m+1) = x*M_m + c_m with
-        c_m = -k * (x*M_m)_0 / m gives x*M_k = (-1)^(k+1) * N(x) one level
-        down after k - 1 products in the level's own field (Cohen, A Course
-        in Computational Algebraic Number Theory, Algorithm 2.2.7).  Walking
-        x down the tower that way multiplies the adjugates into adj(a) and
-        leaves the absolute norm N(a) at level 0 (transitivity of the norm),
-        so the one division is by N(a) at the end, after the fraction-free
-        check a * adj(a) == N(a).  Every level walked requires a nonpower
-        attestation; a zero norm means x is a zero divisor modulo
-        y_j^k - rho, which refutes the attestation and raises instead of
-        returning garbage.
+        At level j, _adjugate gives adj(x) with x * adj(x) = N(x) one
+        level down.  Walking x down the tower that way multiplies the
+        adjugates into adj(a) and leaves the absolute norm N(a) at level 0
+        (transitivity of the norm), so the one division is by N(a) at the
+        end, after the fraction-free check a * adj(a) == N(a).  Every level
+        walked requires a nonpower attestation; a zero norm means x is a
+        zero divisor modulo y_j^k - rho, which refutes the attestation and
+        raises instead of returning garbage.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in the tower")
@@ -422,17 +414,8 @@ class TowerElem(Field):
             if all(c.is_zero() for c in x.payload[1:]):
                 x = x.payload[0]
                 continue
-            # M_(m+1) has the coordinates of x*M_m but the constant one,
-            # (x*M_m)_0 * (m - k)/m; x*M_1 = x costs no product
-            k, prod = spec.ks[level - 1], x
-            for m in range(1, k):
-                head = _scale(prod.payload[0], Fraction(m - k, m))
-                others = TowerElem(spec, level, (head,) + prod.payload[1:])
-                prod = x * others
-            if k == 2:  # x*M_k = -N(x) for even k
-                others, prod = -others, -prod
+            others, x = _adjugate(x)
             adj = others if adj is None else adj * others
-            x = prod.coords[0]
             if x.is_zero():
                 raise AttestationError(
                     f"defining polynomial at level {level} is reducible; the "
@@ -497,6 +480,23 @@ def _fold(raw: list, k: int, rho: TowerElem) -> list:
         zero = rho.spec.zero(rho.level)
         raw[:] = [zero if c is None else c for c in raw]
     return quotient
+
+
+def _adjugate(x: TowerElem):
+    """adj(x) and N(x) = x * adj(x) one level down, by the Faddeev-LeVerrier
+    recurrence on multiplication by x (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 2.2.7), whose trace in the basis
+    1, y, ..., y^(k-1) is Tr(z) = k * z_0 (Lang, Algebra, Ch. VI, Sec. 5):
+    M_1 = 1 and M_(m+1) = x*M_m + c_m with c_m = -k * (x*M_m)_0 / m end in
+    x*M_k = (-1)^(k+1) * N(x) after k - 1 products."""
+    k, prod = x.spec.ks[x.level - 1], x  # x*M_1 = x costs no product
+    for m in range(1, k):
+        head = _scale(prod.payload[0], Fraction(m - k, m))  # (x*M_m)_0 + c_m
+        others = TowerElem(x.spec, x.level, (head,) + prod.payload[1:])
+        prod = x * others
+    if k == 2:  # k is prime, so 2 is its one even value
+        others, prod = -others, -prod
+    return others, prod.coords[0]
 
 
 # ---------------------------------------------------------------------------
