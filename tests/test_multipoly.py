@@ -290,6 +290,13 @@ def test_kth_root_undecided_on_nonrational_constant_root():
     assert kth_root_poly(MPoly(1, {(2,): e3}), 2) is UNDECIDED
 
 
+def test_kth_root_refuses_a_constant_with_no_cyclotomic_root():
+    # 2 has no rational cube root, so x^3 - 2 is irreducible over Q and
+    # its roots lie in no cyclotomic field
+    assert kth_root_poly(2 * x(1, 1) ** 3, 3) is NO_ROOT
+    assert kth_root_poly(-3 * x(2, 1) ** 5 + x(2, 2), 5) is NO_ROOT
+
+
 def test_kth_root_negative_odd_root_resolves():
     f = -8 * x(1, 1) ** 3
     assert kth_root_poly(f, 3) == -2 * x(1, 1)

@@ -13,7 +13,9 @@ and are frozen here:
     then (s1 + y2 + y3)/3 expands to x1.
 """
 
+import functools
 import hashlib
+import operator
 import pathlib
 import random
 from fractions import Fraction
@@ -33,6 +35,7 @@ from radform.tower import (
     RatFunc,
     TowerElem,
     TowerSpec,
+    _adjugate,
     check_annihilation,
     conjugate,
     expand_with_witnesses,
@@ -488,8 +491,8 @@ class TestInverse:
             e.inverse()
 
     def test_rational_inverse_coordinates_have_order_one(self):
-        # the conjugate product runs over Q(w_3), but the inverse of an
-        # element with rational coordinates has rational coordinates
+        # the adjugate recurrence forms no scalar of order 3, so the inverse
+        # of an element with rational coordinates has rational coordinates
         s1, s2 = sigma(2, 1), sigma(2, 2)
         spec = TowerSpec(2)
         spec.add_level(3, spec.from_sigma_poly(s1 ** 2 - 4 * s2), ATTESTED_ASSERTED)
@@ -499,6 +502,75 @@ class TestInverse:
         assert e * inverse == spec.one(1)
         for coord in inverse.coords:
             assert (coord.ratfunc.num.order, coord.ratfunc.den.order) == (1, 1)
+
+    def test_false_level_three_attestation_of_the_fixture_caught(self):
+        # with W = s1^2 - 3*s2, p_1 * p_2 = W^3, so p_2 = (W / y2)^3 and the
+        # fixture's assert-nonpower 3 is false; the norm two levels up sees it
+        spec = parse(DEGREE3_TOWER.read_text()).spec
+        W = spec.from_sigma_poly(sigma(3, 1) ** 2 - 3 * sigma(3, 2))
+        root = W * spec.generator(2).inverse()
+        assert root ** 3 == spec.ps[2]
+        with pytest.raises(AttestationError, match="level 3 is reducible"):
+            (spec.generator(3) - spec.lift(root, 3)).inverse()
+
+
+# ---------------------------------------------------------------------------
+# the adjugate recurrence
+
+
+def multiplication_trace(z):
+    """The trace of multiplication by z over the level below, read off the
+    matrix whose i-th column holds the coordinates of z * y^i."""
+    spec, level = z.spec, z.level
+    column, trace = z, spec.zero(level - 1)
+    for i in range(spec.ks[level - 1]):
+        trace = trace + column.coords[i]
+        column = column * spec.generator(level)
+    return trace
+
+
+class TestAdjugate:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        """k = 2, 3, 5 at level 1, and level 2 of the fixture."""
+        return differential_cases()[:4]
+
+    def test_trace_is_k_times_the_constant_coordinate(self, cases):
+        rng = random.Random(291)
+        for spec, level, dens in cases:
+            for _ in range(2):
+                z = random_elem(spec, level, rng, dens)
+                assert multiplication_trace(z) == z.coords[0] * spec.ks[level - 1]
+
+    def test_norm_and_adjugate_are_the_conjugate_products(self, cases):
+        rng = random.Random(292)
+        for spec, level, _ in cases:
+            x = random_elem(spec, level, rng)
+            conjugates = [conjugate(x, level, m) for m in range(spec.ks[level - 1])]
+            adj, norm = _adjugate(x)
+            assert norm.level == level - 1
+            assert functools.reduce(operator.mul, conjugates) == norm
+            assert functools.reduce(operator.mul, conjugates[1:]) == adj
+
+    def test_level_of_degree_seven_multiplies_back_to_one(self):
+        spec = one_level_spec(7)
+        rng = random.Random(293)
+        for _ in range(2):
+            e = random_elem(spec, 1, rng)
+            assert e * e.inverse() == spec.one(1)
+
+    def test_square_root_over_cube_root_of_unity_scalars(self):
+        # the even-k sign rule with non-rational coefficients in the ground
+        s1, s2 = sigma(2, 1), sigma(2, 2)
+        w = root_of_unity(3, 3)
+        spec = TowerSpec(2)
+        spec.add_level(2, spec.from_sigma_poly(s1 ** 2 - 4 * w * s2))
+        assert nonpower_check(spec, 1).status == "verified"
+        spec.set_attestation(1, ATTESTED_VERIFIED)
+        y1 = spec.generator(1)
+        for e in (y1 + w * s1, (w ** 2 * s2 + 1) * y1 - w, w * y1 + s1 - s2):
+            assert e * e.inverse() == spec.one(1)
+            assert _adjugate(e)[0] == conjugate(e, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +658,19 @@ class TestNonpower:
         w8 = root_of_unity(8, 8)
         assert result.root == spec.scalar(w8 - w8 ** 3, 1)
         assert result.root ** 2 == spec.ps[1]
+
+    def test_level_one_rational_constant_without_a_cyclotomic_root_verified(self):
+        # x^3 - 2 is irreducible and no cyclotomic field holds its roots
+        text = "towerformula n=2 s=1\nk 3\np 0 = 2*s1^3\ntarget = s1\nassert-nonpower 1\n"
+        assert nonpower_check(parse(text).spec, 1).status == "verified"
+
+    def test_nested_constant_with_a_root_in_the_tower_undecided(self):
+        # with y1^3 = 2, the level y2^3 = 2 has the root y1
+        spec = TowerSpec(2)
+        spec.add_level(3, spec.scalar(2), ATTESTED_VERIFIED)
+        spec.add_level(3, spec.scalar(2, 1))
+        assert spec.generator(1) ** 3 == spec.ps[1]
+        assert nonpower_check(spec, 2).status == "undecided"
 
     def test_nested_non_rational_constant_undecided(self):
         spec = quad_spec()
